@@ -61,9 +61,21 @@ let load_scenario name =
   | Ok s -> ("bench/scenarios/" ^ name, s)
   | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
 
+(* The source revision the bench was built from, as [git describe
+   --always --dirty] prints it ("unknown" outside a git checkout). *)
+let source_revision () =
+  try
+    let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when line <> "" -> line
+    | _ -> "unknown"
+  with Unix.Unix_error _ | Sys_error _ -> "unknown"
+
 (* Schema "probcons-bench/2": an object with perf rows plus the metrics
    snapshot of the whole reproduction run, so CI can hold a line on both
-   timings and telemetry (tools/validate_bench checks the shape). *)
+   timings and telemetry (tools/validate_bench checks the shape). The
+   [host] object records where the numbers came from. *)
 let write_json path =
   let row { kernel; n; engine; domains; ns_per_run; scenario } =
     Obs.Json.Obj
@@ -83,6 +95,13 @@ let write_json path =
     Obs.Json.Obj
       [
         ("schema", Obs.Json.String "probcons-bench/2");
+        ( "host",
+          Obs.Json.Obj
+            [
+              ("cores", Obs.Json.Int (Domain.recommended_domain_count ()));
+              ("ocaml", Obs.Json.String Sys.ocaml_version);
+              ("commit", Obs.Json.String (source_revision ()));
+            ] );
         ("rows", Obs.Json.List (List.rev_map row !json_rows));
         ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
       ]

@@ -82,25 +82,123 @@ let run_count_dp (protocol : Protocol.t) ~crash_probs ~byz_probs =
   no_ci protocol.name ~engine:"count-dp" ~p_safe:(normalize !p_safe)
     ~p_live:(normalize !p_live) ~p_safe_live:(normalize !p_both)
 
-(* Per-chunk Kahan-compensated partial sums over a configuration
-   iterator slice. Chunk boundaries and per-chunk float order are fixed
-   by Chunked, so the totals are bit-identical across domain counts. *)
-let eval_range (protocol : Protocol.t) ~crash_probs ~byz_probs iter_range ~lo ~hi =
-  let open Prob.Math_utils in
-  let span = Obs.Span.start m_chunk_seconds in
-  let s = ref kahan_zero and l = ref kahan_zero and b = ref kahan_zero in
-  iter_range ~lo ~hi (fun config ->
-      let p = Config.probability ~crash_probs ~byz_probs config in
-      if p > 0. then begin
-        let safe = protocol.safe.full config and live = protocol.live.full config in
-        if safe then s := kahan_add !s p;
-        if live then l := kahan_add !l p;
-        if safe && live then b := kahan_add !b p
-      end);
+(* The enumeration kernels. Per configuration they do no allocation:
+   the configuration is a (crashed, byz) pair of bitmasks, its
+   probability comes from a prefix-product table plus the remaining
+   factors, and the three Kahan sums live in mutable float records.
+
+   Bit-identity with the node-by-node product: every probability is the
+   product [((1 * f0) * f1) * ... * f(n-1)] of the per-node factors in
+   node order ([1 - pc - pb] for a correct node, [pc] crashed, [pb]
+   Byzantine), clamped to [0, 1] as [Config.probability] does; each
+   chunk visits its configurations in index order and accumulates them
+   with Neumaier's step exactly as [Math_utils.kahan_add]; chunk
+   boundaries and the reduction order are [Parallel.Chunked]'s. *)
+
+type acc = { mutable sum : float; mutable comp : float }
+
+let acc_zero () = { sum = 0.; comp = 0. }
+
+(* [Math_utils.kahan_add] on a mutable record: the immutable version
+   allocates a fresh record per term. *)
+let[@inline] acc_add a x =
+  let t = a.sum +. x in
+  a.comp <-
+    (if Float.abs a.sum >= Float.abs x then a.comp +. ((a.sum -. t) +. x)
+     else a.comp +. ((x -. t) +. a.sum));
+  a.sum <- t
+
+let acc_total a = a.sum +. a.comp
+
+(* Classify one configuration of probability [p], clamped as
+   [Config.probability] clamps: above 1 counts as 1, and [p <= 0.] or
+   NaN contributes nothing. *)
+let[@inline] accumulate (protocol : Protocol.t) s l b ~crashed ~byz p =
+  let p = if p > 1. then 1. else p in
+  if p > 0. then begin
+    let safe = protocol.safe.mask ~crashed ~byz
+    and live = protocol.live.mask ~crashed ~byz in
+    if safe then acc_add s p;
+    if live then acc_add l p;
+    if safe && live then acc_add b p
+  end
+
+let chunk_done ~lo ~hi span s l b =
   Obs.Metrics.incr m_chunks;
   Obs.Metrics.add m_configs (hi - lo);
   Obs.Span.stop span;
-  (kahan_total !s, kahan_total !l, kahan_total !b)
+  (acc_total s, acc_total l, acc_total b)
+
+(* Binary kernel: failures all of one kind; configuration [failed], the
+   bitmask of failed nodes, runs [lo..hi-1]. [table] holds the product
+   of the low [bits] factors; the factors of the nodes above are
+   multiplied on in node order. *)
+let eval_binary (protocol : Protocol.t) ~byzantine ~table ~bits ~fail ~ok ~lo ~hi =
+  let span = Obs.Span.start m_chunk_seconds in
+  let n = Array.length fail in
+  let low = Quorum.Subset.full bits in
+  let s = acc_zero () and l = acc_zero () and b = acc_zero () in
+  for failed = lo to hi - 1 do
+    let p = ref table.(failed land low) in
+    for u = bits to n - 1 do
+      p := !p *. (if failed land (1 lsl u) <> 0 then fail.(u) else ok.(u))
+    done;
+    if byzantine then accumulate protocol s l b ~crashed:0 ~byz:failed !p
+    else accumulate protocol s l b ~crashed:failed ~byz:0 !p
+  done;
+  chunk_done ~lo ~hi span s l b
+
+(* Ternary kernel: index [i] is a base-3 numeral with node 0 the most
+   significant digit (0 correct, 1 crashed, 2 Byzantine), the order of
+   [Config.iter_ternary_range]. An odometer steps the digits and the
+   two masks; [prefix.(u)] is the product of the factors of nodes
+   [0..u-1], recomputed only from the most significant digit that
+   changed. *)
+let eval_ternary (protocol : Protocol.t) ~crash_probs ~byz_probs ~ok ~lo ~hi =
+  let span = Obs.Span.start m_chunk_seconds in
+  let n = Array.length ok in
+  let s = acc_zero () and l = acc_zero () and b = acc_zero () in
+  if lo < hi then begin
+    let digits = Array.make n 0 in
+    let rest = ref lo and crashed = ref 0 and byz = ref 0 in
+    for u = n - 1 downto 0 do
+      digits.(u) <- !rest mod 3;
+      rest := !rest / 3;
+      if digits.(u) = 1 then crashed := !crashed lor (1 lsl u)
+      else if digits.(u) = 2 then byz := !byz lor (1 lsl u)
+    done;
+    let prefix = Array.make (n + 1) 1. in
+    let refresh_from first =
+      for u = first to n - 1 do
+        let factor =
+          match digits.(u) with 0 -> ok.(u) | 1 -> crash_probs.(u) | _ -> byz_probs.(u)
+        in
+        prefix.(u + 1) <- prefix.(u) *. factor
+      done
+    in
+    refresh_from 0;
+    for _ = lo to hi - 1 do
+      accumulate protocol s l b ~crashed:!crashed ~byz:!byz prefix.(n);
+      (* Advance: trailing 2s wrap to 0, the next digit increments. *)
+      let u = ref (n - 1) in
+      while !u >= 0 && digits.(!u) = 2 do
+        digits.(!u) <- 0;
+        byz := !byz land lnot (1 lsl !u);
+        decr u
+      done;
+      if !u >= 0 then begin
+        let bit = 1 lsl !u in
+        if digits.(!u) = 0 then crashed := !crashed lor bit
+        else begin
+          crashed := !crashed land lnot bit;
+          byz := !byz lor bit
+        end;
+        digits.(!u) <- digits.(!u) + 1;
+        refresh_from !u
+      end
+    done
+  end;
+  chunk_done ~lo ~hi span s l b
 
 let run_enumeration ?domains (protocol : Protocol.t) ~crash_probs ~byz_probs =
   let n = Array.length crash_probs in
@@ -111,16 +209,21 @@ let run_enumeration ?domains (protocol : Protocol.t) ~crash_probs ~byz_probs =
       Some true
     else None
   in
-  let total, base_engine, iter_range =
+  (* The correct-node factor, written as [Config.probability] does. *)
+  let ok = Array.init n (fun u -> 1. -. crash_probs.(u) -. byz_probs.(u)) in
+  let total, base_engine, eval =
     match binary with
     | Some byzantine ->
+        let fail = if byzantine then byz_probs else crash_probs in
+        let bits = min n Quorum.Subset.table_bits in
+        let table = Quorum.Subset.prefix_table `Product ~inside:fail ~outside:ok ~bits in
         ( Quorum.Subset.full n + 1,
           "enumeration-binary",
-          fun ~lo ~hi f -> Config.iter_binary_range ~n ~byzantine ~lo ~hi f )
+          eval_binary protocol ~byzantine ~table ~bits ~fail ~ok )
     | None ->
         ( Config.ternary_cardinality ~n,
           "enumeration-ternary",
-          fun ~lo ~hi f -> Config.iter_ternary_range ~n ~lo ~hi f )
+          eval_ternary protocol ~crash_probs ~byz_probs ~ok )
   in
   let workers =
     Parallel.Pool.effective ?domains
@@ -128,8 +231,7 @@ let run_enumeration ?domains (protocol : Protocol.t) ~crash_probs ~byz_probs =
   in
   Obs.Metrics.set m_workers workers;
   let p_safe, p_live, p_both =
-    Parallel.Chunked.sum3 ?domains ~total (fun ~chunk:_ ~lo ~hi ->
-        eval_range protocol ~crash_probs ~byz_probs iter_range ~lo ~hi)
+    Parallel.Chunked.sum3 ?domains ~total (fun ~chunk:_ ~lo ~hi -> eval ~lo ~hi)
   in
   no_ci protocol.name
     ~engine:(engine_tag ~workers base_engine)
@@ -171,15 +273,35 @@ let mc_chunked ?domains ~trials ~seed sample_outcome =
       Obs.Span.stop span;
       (!safe_hits, !live_hits, !both_hits))
 
+(* Masks hold at most [Subset.max_universe] nodes; beyond that the
+   sampling engines have no configuration to evaluate. *)
+let check_mask_universe fn n =
+  if n > Quorum.Subset.max_universe then
+    invalid_arg
+      (Printf.sprintf "%s: Monte Carlo evaluates predicates on bitmasks of at most %d nodes (got %d)"
+         fn Quorum.Subset.max_universe n)
+
+let outcome (protocol : Protocol.t) ~crashed ~byz =
+  (protocol.safe.mask ~crashed ~byz, protocol.live.mask ~crashed ~byz)
+
 let run_monte_carlo ?domains (protocol : Protocol.t) ~crash_probs ~byz_probs
     ~trials ~seed =
+  let n = Array.length crash_probs in
+  check_mask_universe "Analysis.run" n;
   Obs.Metrics.set m_workers
     (Parallel.Pool.effective ?domains
        ~tasks:(min Parallel.Chunked.default_chunks trials) ());
   let hits =
     mc_chunked ?domains ~trials ~seed (fun rng ->
-        let config = Config.sample ~crash_probs ~byz_probs rng in
-        (protocol.safe.full config, protocol.live.full config))
+        (* [Config.sample]'s draws: one roll per node, in node order. *)
+        let crashed = ref 0 and byz = ref 0 in
+        for u = 0 to n - 1 do
+          let roll = Prob.Rng.float rng in
+          if roll < byz_probs.(u) then byz := !byz lor (1 lsl u)
+          else if roll < byz_probs.(u) +. crash_probs.(u) then
+            crashed := !crashed lor (1 lsl u)
+        done;
+        outcome protocol ~crashed:!crashed ~byz:!byz)
   in
   let workers =
     Parallel.Pool.effective ?domains
@@ -331,6 +453,7 @@ let run_correlated ?at ?(trials = 200_000) ?(seed = 42) ?domains model
   let n = Faultmodel.Fleet.size fleet in
   if n <> protocol.n then
     invalid_arg "Analysis.run_correlated: fleet size mismatch";
+  check_mask_universe "Analysis.run_correlated" n;
   Obs.Metrics.incr m_runs;
   Obs.Metrics.set m_workers
     (Parallel.Pool.effective ?domains
@@ -338,15 +461,14 @@ let run_correlated ?at ?(trials = 200_000) ?(seed = 42) ?domains model
   let hits =
     mc_chunked ?domains ~trials ~seed (fun rng ->
         let kinds = Faultmodel.Correlation.sample_kinds model fleet ?at rng in
-        let config =
-          Array.map
-            (function
-              | Faultmodel.Correlation.Ok -> Config.Correct
-              | Faultmodel.Correlation.Crash -> Config.Crashed
-              | Faultmodel.Correlation.Byz -> Config.Byzantine)
-            kinds
-        in
-        (protocol.safe.full config, protocol.live.full config))
+        let crashed = ref 0 and byz = ref 0 in
+        for u = 0 to n - 1 do
+          match kinds.(u) with
+          | Faultmodel.Correlation.Ok -> ()
+          | Faultmodel.Correlation.Crash -> crashed := !crashed lor (1 lsl u)
+          | Faultmodel.Correlation.Byz -> byz := !byz lor (1 lsl u)
+        done;
+        outcome protocol ~crashed:!crashed ~byz:!byz)
   in
   let workers =
     Parallel.Pool.effective ?domains

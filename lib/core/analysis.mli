@@ -10,7 +10,11 @@
       program — O(n^3), heterogeneous fleets included. Every cell of
       the paper's Tables 1 and 2 evaluates through this path.
     - {b Exact enumeration}: node-identity-dependent predicates, up to
-      [2^24] binary or [3^13] ternary configurations.
+      [2^24] binary or [3^13] ternary configurations. Predicates are
+      evaluated on their [mask] form and probabilities come from a
+      prefix-product table ({!Quorum.Subset.prefix_table}), so a
+      configuration costs no allocation; results are bit-identical to
+      multiplying {!Config.probability}'s factors node by node.
     - {b Monte Carlo}: anything larger, and all correlated models;
       returns a 95% confidence interval.
 
@@ -55,7 +59,9 @@ val run :
     value. When parallel lanes were used, the [engine] string records
     it, e.g. ["enumeration-binary/8d"]. Raises [Invalid_argument] when
     the fleet size does not match the protocol's [n], or when a forced
-    strategy cannot handle the instance. *)
+    strategy cannot handle the instance — including Monte Carlo over
+    more than {!Quorum.Subset.max_universe} nodes, since predicates are
+    evaluated on bitmasks. *)
 
 (** {1 Horizon trajectories}
 

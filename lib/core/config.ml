@@ -22,6 +22,7 @@ let set_of pred t =
 
 let correct_set = set_of (fun s -> s = Correct)
 let faulty_set = set_of (fun s -> s <> Correct)
+let crashed_set = set_of (fun s -> s = Crashed)
 let byzantine_set = set_of (fun s -> s = Byzantine)
 
 let probability ~crash_probs ~byz_probs t =
@@ -69,14 +70,6 @@ let joint_count_distribution ~crash_probs ~byz_probs =
     done
   done;
   dist
-
-let iter_binary ~n ~byzantine f =
-  Quorum.Subset.iter_subsets n (fun failed ->
-      f (of_failed_subset ~n ~byzantine failed))
-
-let iter_binary_range ~n ~byzantine ~lo ~hi f =
-  Quorum.Subset.iter_subsets_range n ~lo ~hi (fun failed ->
-      f (of_failed_subset ~n ~byzantine failed))
 
 let ternary_cardinality ~n =
   if n < 0 || n > 13 then invalid_arg "Config.ternary_cardinality: universe too large";

@@ -22,6 +22,7 @@ val num_faulty : t -> int
 
 val correct_set : t -> Quorum.Subset.t
 val faulty_set : t -> Quorum.Subset.t
+val crashed_set : t -> Quorum.Subset.t
 val byzantine_set : t -> Quorum.Subset.t
 
 val probability : crash_probs:float array -> byz_probs:float array -> t -> float
@@ -37,15 +38,6 @@ val joint_count_distribution :
     two-type generalization of the Poisson binomial, computed by an
     O(n^3) dynamic program. Drives the count-only fast path that
     evaluates every cell of the paper's tables. *)
-
-val iter_binary : n:int -> byzantine:bool -> (t -> unit) -> unit
-(** Enumerate all [2^n] configurations whose failures are all of one
-    kind. Raises for [n > 24]. *)
-
-val iter_binary_range :
-  n:int -> byzantine:bool -> lo:int -> hi:int -> (t -> unit) -> unit
-(** The slice of {!iter_binary}'s sequence with bitmask indices in
-    [lo, hi) — one worker's share of a chunked parallel enumeration. *)
 
 val iter_ternary : n:int -> (t -> unit) -> unit
 (** Enumerate all [3^n] configurations. Raises for [n > 13]. *)

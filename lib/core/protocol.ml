@@ -1,42 +1,46 @@
 type predicate = {
+  mask : crashed:Quorum.Subset.t -> byz:Quorum.Subset.t -> bool;
   full : Config.t -> bool;
   by_count : (byz:int -> crashed:int -> bool) option;
 }
 
 type t = { name : string; n : int; safe : predicate; live : predicate }
 
-let count_predicate ~n f =
-  ignore n;
+let make mask by_count =
   {
+    mask;
     full =
       (fun config ->
-        f ~byz:(Config.num_byzantine config) ~crashed:(Config.num_crashed config));
-    by_count = Some (fun ~byz ~crashed -> f ~byz ~crashed);
+        mask ~crashed:(Config.crashed_set config) ~byz:(Config.byzantine_set config));
+    by_count;
   }
 
-let full_predicate f = { full = f; by_count = None }
+let mask_predicate mask = make mask None
+
+let count_predicate ~n f =
+  ignore n;
+  make
+    (fun ~crashed ~byz ->
+      f ~byz:(Quorum.Subset.cardinal byz) ~crashed:(Quorum.Subset.cardinal crashed))
+    (Some (fun ~byz ~crashed -> f ~byz ~crashed))
 
 let lift2 op a b =
-  {
-    full = (fun config -> op (a.full config) (b.full config));
-    by_count =
-      (match (a.by_count, b.by_count) with
-      | Some fa, Some fb ->
-          Some (fun ~byz ~crashed -> op (fa ~byz ~crashed) (fb ~byz ~crashed))
-      | _, _ -> None);
-  }
+  make
+    (fun ~crashed ~byz -> op (a.mask ~crashed ~byz) (b.mask ~crashed ~byz))
+    (match (a.by_count, b.by_count) with
+    | Some fa, Some fb ->
+        Some (fun ~byz ~crashed -> op (fa ~byz ~crashed) (fb ~byz ~crashed))
+    | _, _ -> None)
 
 let pred_and a b = lift2 ( && ) a b
 let pred_or a b = lift2 ( || ) a b
 
 let pred_not a =
-  {
-    full = (fun config -> not (a.full config));
-    by_count =
-      (match a.by_count with
-      | Some f -> Some (fun ~byz ~crashed -> not (f ~byz ~crashed))
-      | None -> None);
-  }
+  make
+    (fun ~crashed ~byz -> not (a.mask ~crashed ~byz))
+    (match a.by_count with
+    | Some f -> Some (fun ~byz ~crashed -> not (f ~byz ~crashed))
+    | None -> None)
 
 let always ~n = count_predicate ~n (fun ~byz:_ ~crashed:_ -> true)
 let never ~n = count_predicate ~n (fun ~byz:_ ~crashed:_ -> false)

@@ -17,26 +17,35 @@ let make ?(byz_stake_bound = 1. /. 3.) ?(live_stake_bound = 2. /. 3.) stakes =
 
 let total params = Prob.Math_utils.kahan_sum params.stakes
 
-let stake_of params pred config =
-  let acc = ref 0. in
-  Array.iteri (fun u status -> if pred status then acc := !acc +. params.stakes.(u)) config;
-  !acc
-
-let byz_stake_fraction params config =
-  stake_of params (fun s -> s = Config.Byzantine) config /. total params
-
-let correct_stake_fraction params config =
-  stake_of params (fun s -> s = Config.Correct) config /. total params
-
 let protocol params =
+  let module S = Quorum.Subset in
   let n = Array.length params.stakes in
+  let bits = min n S.table_bits in
+  let low = S.full bits in
+  (* Stakes are summed in ascending node order from 0., as a node-by-node
+     walk would: the table folds the low [bits] nodes (adding +0. for an
+     absent node leaves a non-negative sum unchanged), the loop adds the
+     rest. *)
+  let table =
+    S.prefix_table `Sum ~inside:params.stakes ~outside:(Array.make n 0.) ~bits
+  in
+  let total = total params in
+  (* Whether the stake fraction of [s] is below [bound]; returning the
+     comparison rather than the float keeps the call allocation-free. *)
+  let fraction_below s bound =
+    let stake = ref table.(s land low) in
+    for u = bits to n - 1 do
+      if s land (1 lsl u) <> 0 then stake := !stake +. params.stakes.(u)
+    done;
+    !stake /. total < bound
+  in
   let safe =
-    Protocol.full_predicate (fun config ->
-        byz_stake_fraction params config < params.byz_stake_bound)
+    Protocol.mask_predicate (fun ~crashed:_ ~byz ->
+        fraction_below byz params.byz_stake_bound)
   in
   let live =
-    Protocol.full_predicate (fun config ->
-        correct_stake_fraction params config >= params.live_stake_bound)
+    Protocol.mask_predicate (fun ~crashed ~byz ->
+        not (fraction_below (S.complement n (S.union crashed byz)) params.live_stake_bound))
   in
   { Protocol.name = Printf.sprintf "stake(n=%d)" n; n; safe; live }
 

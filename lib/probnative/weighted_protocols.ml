@@ -95,21 +95,18 @@ let raft_weighted : Registry.entry =
 let committee_max_nodes = 22
 
 let committee_protocol ~n (c : Committee.committee) =
-  let members = c.Committee.members in
-  let quorum = (List.length members / 2) + 1 in
-  let live cfg =
-    List.length
-      (List.filter
-         (fun id -> cfg.(id) = Probcons.Config.Correct)
-         members)
-    >= quorum
+  let module S = Quorum.Subset in
+  let members = S.of_list c.Committee.members in
+  let quorum = (List.length c.Committee.members / 2) + 1 in
+  let live ~crashed ~byz =
+    S.cardinal (S.inter (S.complement n (S.union crashed byz)) members) >= quorum
   in
   {
     Probcons.Protocol.name =
-      Printf.sprintf "committee(%d of %d)" (List.length members) n;
+      Printf.sprintf "committee(%d of %d)" (List.length c.Committee.members) n;
     n;
     safe = Probcons.Protocol.always ~n;
-    live = Probcons.Protocol.full_predicate live;
+    live = Probcons.Protocol.mask_predicate live;
   }
 
 let committee_weighted : Registry.entry =

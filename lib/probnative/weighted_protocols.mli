@@ -14,5 +14,11 @@
     module is linked (the library is built with [-linkall], so linking
     [probnative] suffices — the CLI, service and tests all see them). *)
 
+val committee_protocol : n:int -> Committee.committee -> Probcons.Protocol.t
+(** The [committee-weighted] model over an [n]-node fleet: always safe,
+    live while a majority of the committee's members is correct. The
+    liveness predicate depends on node identity, so analysis runs on
+    the enumeration engine. *)
+
 val raft_weighted : Probcons.Registry.entry
 val committee_weighted : Probcons.Registry.entry

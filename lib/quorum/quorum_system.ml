@@ -134,18 +134,20 @@ let enumerate_availability ?domains t probs =
   let n = size t in
   if n > Subset.max_enumeration then
     invalid_arg "Quorum_system.availability: universe too large for enumeration";
+  (* Subset [failed] weighs [((1 * f0) * f1) * ...] over nodes in order:
+     the table folds the low [bits] nodes, the loop the rest. *)
+  let live = Array.init n (fun u -> 1. -. probs.(u)) in
+  let bits = min n Subset.table_bits in
+  let table = Subset.prefix_table `Product ~inside:probs ~outside:live ~bits in
+  let low = Subset.full bits in
   let total =
     Parallel.Chunked.sum ?domains ~total:(Subset.full n + 1) (fun ~lo ~hi ->
         let acc = ref Prob.Math_utils.kahan_zero in
         Subset.iter_subsets_range n ~lo ~hi (fun failed ->
-            let live = Subset.complement n failed in
-            if contains_quorum t live then begin
-              let p = ref 1. in
-              for u = 0 to n - 1 do
-                p :=
-                  !p
-                  *. (if Subset.mem failed u then probs.(u)
-                      else 1. -. probs.(u))
+            if contains_quorum t (Subset.complement n failed) then begin
+              let p = ref table.(failed land low) in
+              for u = bits to n - 1 do
+                p := !p *. (if Subset.mem failed u then probs.(u) else live.(u))
               done;
               acc := Prob.Math_utils.kahan_add !acc !p
             end);

@@ -7,9 +7,13 @@ let add s u = s lor (1 lsl u)
 let remove s u = s land lnot (1 lsl u)
 
 let cardinal s =
-  (* Kernighan popcount; subsets here are at most 62 bits. *)
-  let rec go s acc = if s = 0 then acc else go (s land (s - 1)) (acc + 1) in
-  go s 0
+  (* SWAR popcount over the 62 bits a non-negative [int] uses: pair,
+     nibble and byte sums, then a multiply gathers the byte sums into
+     bits 56..62. *)
+  let s = s - ((s lsr 1) land 0x1555_5555_5555_5555) in
+  let s = (s land 0x3333_3333_3333_3333) + ((s lsr 2) land 0x3333_3333_3333_3333) in
+  let s = (s + (s lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (s * 0x0101_0101_0101_0101) lsr 56
 
 let inter = ( land )
 let union = ( lor )
@@ -23,6 +27,7 @@ let to_list s =
 
 let complement n s = full n land lnot s
 
+let max_universe = Sys.int_size - 1
 let max_enumeration = 24
 
 let iter_subsets n f =
@@ -60,6 +65,31 @@ let fold_subsets n ~init ~f =
   let acc = ref init in
   iter_subsets n (fun s -> acc := f !acc s);
   !acc
+
+let table_bits = 16
+
+let prefix_table op ~inside ~outside ~bits =
+  if bits < 0 || bits > table_bits || bits > Array.length inside
+     || bits > Array.length outside
+  then invalid_arg "Subset.prefix_table: bits out of range";
+  let table = Array.make (1 lsl bits) (match op with `Product -> 1. | `Sum -> 0.) in
+  (* After step [u], entries [0, 2^(u+1)) hold the fold over elements
+     [0..u]: each entry [m] of the previous step extends to [m] (u
+     outside) and [m + 2^u] (u inside). *)
+  for u = 0 to bits - 1 do
+    let half = 1 lsl u in
+    for m = 0 to half - 1 do
+      let acc = table.(m) in
+      match op with
+      | `Product ->
+          table.(m + half) <- acc *. inside.(u);
+          table.(m) <- acc *. outside.(u)
+      | `Sum ->
+          table.(m + half) <- acc +. inside.(u);
+          table.(m) <- acc +. outside.(u)
+    done
+  done;
+  table
 
 let pp fmt s =
   Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int (to_list s)))

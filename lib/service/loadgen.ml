@@ -40,7 +40,13 @@ let query_pool distinct =
         if i mod 6 = 5 then Wire.Fleet_ingest params
         else Wire.Fleet_recommend params
       else
-        let mix = [ ((2 * (i mod 5)) + 3, 0.01 +. (0.001 *. float_of_int i)) ] in
+        (* Fault probabilities climb a 0.001 grid from 0.01 and reach 1
+           at slot 990; later slots take 9.9 / i, below the grid's
+           start and strictly decreasing, so every slot stays valid and
+           distinct while slots up to 990 keep their keys. *)
+        let p = 0.01 +. (0.001 *. float_of_int i) in
+        let p = if p <= 1. then p else 9.9 /. float_of_int i in
+        let mix = [ ((2 * (i mod 5)) + 3, p) ] in
         match Probcons.Scenario.make ~protocol:"raft" ~mix () with
         | Ok scenario -> Wire.Analyze { scenario }
         | Error msg -> invalid_arg ("Loadgen.query_pool: " ^ msg))

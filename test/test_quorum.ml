@@ -13,6 +13,14 @@ let test_subset_basics () =
   Alcotest.(check bool) "mem 2" true (Subset.mem s 2);
   Alcotest.(check bool) "not mem 1" false (Subset.mem s 1);
   Alcotest.(check int) "cardinal" 3 (Subset.cardinal s);
+  Alcotest.(check int) "cardinal of all 62 bits" Subset.max_universe
+    (Subset.cardinal (Subset.full Subset.max_universe));
+  let rng = Prob.Rng.create 62 in
+  for _ = 1 to 1000 do
+    let s = Prob.Rng.int rng (1 lsl 30) lor (Prob.Rng.int rng (1 lsl 30) lsl 30) in
+    Alcotest.(check int) "cardinal = |to_list|" (List.length (Subset.to_list s))
+      (Subset.cardinal s)
+  done;
   Alcotest.(check (list int)) "to_list sorted" [ 0; 2; 5 ] (Subset.to_list s);
   Alcotest.(check int) "add idempotent" s (Subset.add s 2);
   Alcotest.(check int) "remove" (Subset.of_list [ 0; 5 ]) (Subset.remove s 2)

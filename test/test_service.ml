@@ -724,6 +724,29 @@ let test_e2e_deadline () =
                   Alcotest.failf "expected deadline_exceeded, got %s (%s)"
                     (Wire.code_string c) msg)))
 
+let test_loadgen_large_pool () =
+  (* Past slot 990 the fault-probability grid would leave [0, 1]; every
+     slot must still build, with a key of its own, and the earlier
+     slots must keep theirs. *)
+  let pool = Service.Loadgen.query_pool 5000 in
+  let keys = Array.map Wire.canonical_key pool in
+  let distinct = List.sort_uniq compare (Array.to_list keys) in
+  Alcotest.(check int) "distinct keys" 5000 (List.length distinct);
+  for i = 0 to 990 do
+    if i mod 3 <> 2 then
+      match
+        Probcons.Scenario.make ~protocol:"raft"
+          ~mix:[ ((2 * (i mod 5)) + 3, 0.01 +. (0.001 *. float_of_int i)) ]
+          ()
+      with
+      | Ok scenario ->
+          Alcotest.(check string)
+            (Printf.sprintf "slot %d key" i)
+            (Wire.canonical_key (Wire.Analyze { scenario }))
+            keys.(i)
+      | Error msg -> Alcotest.fail msg
+  done
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -752,4 +775,6 @@ let suite =
     Alcotest.test_case "e2e pipelining" `Quick test_e2e_pipelining;
     Alcotest.test_case "e2e wire gate" `Quick test_e2e_wire_gate;
     Alcotest.test_case "e2e deadline" `Quick test_e2e_deadline;
+    Alcotest.test_case "loadgen pool past 990 slots" `Quick
+      test_loadgen_large_pool;
   ]
