@@ -2,7 +2,10 @@
    of "Real Life Is Uncertain. Consensus Should Be Too!" (HotOS 2025),
    then micro-benchmarks the analysis kernels with Bechamel.
 
-   One section per experiment in DESIGN.md's index (T1, T2, E3-E10).
+   One section per experiment in DESIGN.md's index (T1, T2, E3-E20),
+   then the performance sections P1-P5 (parallel engine, observability
+   overhead, query service, fleet engine, horizon trajectories), whose
+   rows form the --json artifact that tools/validate_bench gates.
    Absolute latencies are machine-dependent; the reproduced tables are
    deterministic. *)
 
@@ -25,12 +28,26 @@ type json_row = {
       (* Repo-relative path of the committed scenario file that drove
          the kernel, when there is one — what makes the row
          reproducible from the artifact alone. *)
+  extra : (string * Obs.Json.t) list;
+      (* Fields a gate checks beside the timing: max_diff on the
+         incremental horizon row, errors/mismatches/elapsed_seconds on
+         the loadgen rows. *)
 }
 
 let json_rows : json_row list ref = ref []
 
-let record_row ?scenario ~kernel ~n ~engine ~domains ~ns_per_run () =
-  json_rows := { kernel; n; engine; domains; ns_per_run; scenario } :: !json_rows
+let record_row ?scenario ?(extra = []) ~kernel ~n ~engine ~domains ~ns_per_run
+    () =
+  json_rows :=
+    { kernel; n; engine; domains; ns_per_run; scenario; extra } :: !json_rows
+
+(* Wall-clock nanoseconds per call of [f], averaged over [reps] calls. *)
+let time_ns reps f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
 
 (* ------------------------------------------------- scenario files *)
 
@@ -77,7 +94,7 @@ let source_revision () =
    timings and telemetry (tools/validate_bench checks the shape). The
    [host] object records where the numbers came from. *)
 let write_json path =
-  let row { kernel; n; engine; domains; ns_per_run; scenario } =
+  let row { kernel; n; engine; domains; ns_per_run; scenario; extra } =
     Obs.Json.Obj
       ([
          ("kernel", Obs.Json.String kernel);
@@ -86,10 +103,10 @@ let write_json path =
          ("domains", Obs.Json.Int domains);
          ("ns_per_run", Obs.Json.number (Float.round ns_per_run));
        ]
-      @
-      match scenario with
-      | None -> []
-      | Some path -> [ ("scenario", Obs.Json.String path) ])
+      @ (match scenario with
+        | None -> []
+        | Some path -> [ ("scenario", Obs.Json.String path) ])
+      @ extra)
   in
   let doc =
     Obs.Json.Obj
@@ -924,21 +941,14 @@ let p2_obs_overhead ~quick =
       ~start:500. ~interval:100.;
     Raft_sim.Raft_cluster.run cluster ~until:60_000.
   in
-  let time_reps reps =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      run_sim ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
-  in
   let reps = if quick then 25 else 200 in
   let prev = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled false;
-  ignore (time_reps 5);
-  let off_ns = time_reps reps in
+  ignore (time_ns 5 run_sim);
+  let off_ns = time_ns reps run_sim in
   Obs.Metrics.set_enabled true;
-  ignore (time_reps 5);
-  let on_ns = time_reps reps in
+  ignore (time_ns 5 run_sim);
+  let on_ns = time_ns reps run_sim in
   Obs.Metrics.set_enabled prev;
   Printf.printf "  raft n=%d sim, metrics off: %8.0f us/run\n" sim_n (off_ns /. 1e3);
   Printf.printf "  raft n=%d sim, metrics on:  %8.0f us/run  (%+.1f%%)\n" sim_n
@@ -954,20 +964,14 @@ let p2_obs_overhead ~quick =
 let p3_service ~quick =
   section "P3. Query service: wire parsing, reply cache, socket round-trips";
   (* Hot-path costs of the serving layer, end to end: parse a request
-     line, derive its cache key, hit the LRU, and finally a full
+     line, derive its cache key, hit the LRU, a full
      client->server->client round-trip over a Unix socket (cached, so
-     the protocol overhead dominates, not the analysis). *)
+     the protocol overhead dominates, not the analysis), and finally
+     closed-loop throughput over both framings. *)
   let scenario_path, scen = load_scenario "p3_service.json" in
   let svc_n = Probcons.Scenario.size scen in
   let query = Service.Wire.Analyze { scenario = scen } in
   let line = Service.Wire.encode_request { Service.Wire.id = 1; query } in
-  let time_ns reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
-  in
   let reps = if quick then 20_000 else 200_000 in
   let parse_ns = time_ns reps (fun () -> ignore (Service.Wire.parse_request line)) in
   Printf.printf "  wire parse+validate:      %8.0f ns/req\n" parse_ns;
@@ -988,10 +992,12 @@ let p3_service ~quick =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "probcons-bench-%d.sock" (Unix.getpid ()))
   in
+  (* The queue holds every pipelined request of the wire/3 row, so
+     load shedding never shows up as loadgen errors. *)
   let server =
     Service.Server.start
       { Service.Server.default_config with
-        Service.Server.socket_path = Some socket; workers = 2 }
+        Service.Server.socket_path = Some socket; workers = 2; queue_depth = 256 }
   in
   Fun.protect
     ~finally:(fun () -> Service.Server.stop server)
@@ -1006,7 +1012,148 @@ let p3_service ~quick =
           Printf.printf "  unix-socket round-trip:   %8.0f ns/req (%.0f req/s, cached)\n"
             rt_ns (1e9 /. rt_ns);
           record_row ~scenario:scenario_path ~kernel:"service/roundtrip-unix"
-            ~n:svc_n ~engine:"unix-socket" ~domains:2 ~ns_per_run:rt_ns ()))
+            ~n:svc_n ~engine:"unix-socket" ~domains:2 ~ns_per_run:rt_ns ());
+      (* wire/2 serial lines, then wire/3 pipelined binary frames: same
+         server, pool, clients and window in --quick and full runs, so
+         the gated wire/3-beats-wire/2 ratio means the same thing in
+         CI as in the committed artifact. *)
+      let clients = 8 in
+      List.iter
+        (fun (wire, pipeline) ->
+          let r =
+            Service.Loadgen.run ~clients ~distinct:8 ~duration:2.0 ~warmup:0.5
+              ~pipeline ~wire ~target:(Service.Client.Unix_path socket) ()
+          in
+          Printf.printf
+            "  loadgen wire/%d, pipeline %2d: %8.0f req/s  errors %d, \
+             mismatches %d, %.2f s window\n"
+            wire pipeline r.Service.Loadgen.throughput_rps
+            r.Service.Loadgen.errors r.Service.Loadgen.mismatches
+            r.Service.Loadgen.elapsed_seconds;
+          record_row
+            ~kernel:(Printf.sprintf "service/loadgen-wire%d" wire)
+            ~n:clients
+            ~engine:(Printf.sprintf "unix-socket-pipeline-%d" pipeline)
+            ~domains:2
+            ~ns_per_run:(1e9 /. r.Service.Loadgen.throughput_rps)
+            ~extra:
+              [
+                ("errors", Obs.Json.Int r.Service.Loadgen.errors);
+                ("mismatches", Obs.Json.Int r.Service.Loadgen.mismatches);
+                ( "elapsed_seconds",
+                  Obs.Json.number r.Service.Loadgen.elapsed_seconds );
+              ]
+            ())
+        [ (2, 1); (3, 32) ])
+
+(* ---------------------------------------------------------------- P4 *)
+
+(* Per-node fault probabilities log-uniform over [lo, hi]: [0.001, 0.05]
+   is the band a one-year horizon over datacenter AFR curves produces. *)
+let log_uniform rng lo hi =
+  exp (log lo +. (Prob.Rng.float rng *. (log hi -. log lo)))
+
+let p4_fleet_engine ~quick =
+  section "P4. Fleet engine: incremental update vs full Poisson-binomial recompute";
+  (* Sustained O(n) single-node updates (drift-triggered refreshes that
+     fire inside the window included) against from-scratch O(n^2)
+     recomputes of the same distribution. Windows shrink with n so every
+     size does comparable total work. *)
+  List.iter
+    (fun n ->
+      let rng = Prob.Rng.of_pair 42 n in
+      let engine =
+        Prob.Incremental.create (Array.init n (fun _ -> log_uniform rng 0.001 0.05))
+      in
+      let ops = min 20_000 (max 50 (20_000_000 / n)) in
+      (* Pre-drawn schedule, so the timed window is all engine. *)
+      let targets = Array.init ops (fun _ -> Prob.Rng.int rng n) in
+      let fresh = Array.init ops (fun _ -> log_uniform rng 0.001 0.05) in
+      let refreshes = Prob.Incremental.refresh_count engine in
+      let k = ref 0 in
+      let inc_ns =
+        time_ns ops (fun () ->
+            Prob.Incremental.update engine targets.(!k) fresh.(!k);
+            incr k)
+      in
+      let refreshes = Prob.Incremental.refresh_count engine - refreshes in
+      let final = Prob.Incremental.probs engine in
+      let sink = ref 0. in
+      let full_ns =
+        time_ns
+          (if n >= 100_000 then 1 else if n >= 10_000 then 3 else 10)
+          (fun () -> sink := !sink +. (Prob.Poisson_binomial.pmf final).(0))
+      in
+      ignore (Sys.opaque_identity !sink);
+      Printf.printf
+        "  n=%-7d incremental %12.0f ns/op (%d refreshes)  recompute %14.0f \
+         ns/op  %7.1fx\n"
+        n inc_ns refreshes full_ns (full_ns /. inc_ns);
+      record_row ~kernel:"fleet/incremental-update" ~n ~engine:"incremental"
+        ~domains:1 ~ns_per_run:inc_ns ();
+      record_row ~kernel:"fleet/full-recompute" ~n ~engine:"poisson-binomial-dp"
+        ~domains:1 ~ns_per_run:full_ns ())
+    (if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ])
+
+(* ---------------------------------------------------------------- P5 *)
+
+let p5_horizon ~quick =
+  section "P5. Horizon trajectories: incremental vs exact per round";
+  (* A one-year, 24-round Raft trajectory over a mostly static fleet
+     whose 1-in-16 minority runs Markov on/off processes: only those
+     marginals move between rounds, so the incremental path updates a
+     handful of factors where the exact kernel redoes the O(n^2) DP.
+     The speedup only counts if both compute the same trajectory, so
+     the incremental row carries its largest p_live deviation. *)
+  let rounds = 24 in
+  let times = Probcons.Analysis.horizon_times ~horizon:8766. ~rounds in
+  List.iter
+    (fun n ->
+      let rng = Prob.Rng.of_pair 42 n in
+      let process id =
+        if id < max 1 (n / 16) then
+          Faultmodel.Failure_process.Markov
+            {
+              fail_rate = 1. /. log_uniform rng 2_000. 20_000.;
+              recover_rate = 1. /. log_uniform rng 100. 1_000.;
+            }
+        else Faultmodel.Failure_process.Static (log_uniform rng 0.001 0.05)
+      in
+      let fleet =
+        Faultmodel.Fleet.of_nodes
+          (List.init n (fun id ->
+               Faultmodel.Node.make ~id
+                 (Faultmodel.Failure_process.to_curve (process id))))
+      in
+      let proto = Probcons.Raft_model.(protocol (default n)) in
+      let trajectory strategy =
+        let started = Unix.gettimeofday () in
+        let points =
+          Probcons.Analysis.run_horizon ~strategy ~domains:1 ~times proto fleet
+        in
+        (points, (Unix.gettimeofday () -. started) *. 1e9 /. float_of_int rounds)
+      in
+      let exact, exact_ns = trajectory Probcons.Analysis.Count_dp in
+      let incremental, inc_ns = trajectory Probcons.Analysis.Auto in
+      let p_live (pt : Probcons.Analysis.horizon_point) =
+        pt.Probcons.Analysis.result.Probcons.Analysis.p_live
+      in
+      let max_diff =
+        List.fold_left2
+          (fun acc a b -> Float.max acc (Float.abs (p_live a -. p_live b)))
+          0. exact incremental
+      in
+      Printf.printf
+        "  n=%-5d exact %10.3f ms/round  incremental %9.3f ms/round  %6.1fx  \
+         max_diff %.2e\n"
+        n (exact_ns /. 1e6) (inc_ns /. 1e6) (exact_ns /. inc_ns) max_diff;
+      record_row ~kernel:"horizon/exact" ~n ~engine:"count-dp" ~domains:1
+        ~ns_per_run:exact_ns ();
+      record_row ~kernel:"horizon/incremental" ~n ~engine:"auto" ~domains:1
+        ~ns_per_run:inc_ns
+        ~extra:[ ("max_diff", Obs.Json.number max_diff) ]
+        ())
+    (if quick then [ 100; 400 ] else [ 100; 400; 1_000 ])
 
 (* ------------------------------------------------- Bechamel kernels *)
 
@@ -1140,6 +1287,8 @@ let () =
   p1_parallel_engine ~quick;
   p2_obs_overhead ~quick;
   p3_service ~quick;
+  p4_fleet_engine ~quick;
+  p5_horizon ~quick;
   if quick then print_endline "(microbenchmarks skipped: --quick)" else run_kernels ();
   (match json_target () with Some path -> write_json path | None -> ());
   print_newline ()

@@ -792,7 +792,7 @@ let serve_cmd =
          $ deadline_arg $ idle_timeout_arg $ max_connections_arg
          $ max_pipeline_arg $ wire_arg))
 
-(* Client-side wire selection, shared by loadgen / chaos / servebench. *)
+(* Client-side wire selection, shared by loadgen / chaos / dst / replicate. *)
 let client_wire_arg =
   Arg.(
     value
@@ -1248,120 +1248,6 @@ let dst_cmd =
          $ repro_arg $ client_wire_arg $ seeded_bug_arg $ expect_fail_arg
          $ max_faults_arg $ max_ops_arg))
 
-(* --- servebench --------------------------------------------------------- *)
-
-let servebench_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt int 12 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent clients.")
-  in
-  let distinct_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "distinct" ] ~docv:"K" ~doc:"Distinct queries in the pool.")
-  in
-  let duration_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "duration" ] ~docv:"S" ~doc:"Measured window per wire row.")
-  in
-  let warmup_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "warmup" ] ~docv:"S" ~doc:"Unrecorded warmup per wire row.")
-  in
-  let pipeline_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "pipeline" ] ~docv:"N"
-          ~doc:"Outstanding requests per connection for the wire/3 row.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the probcons-service-bench/1 artifact to $(docv).")
-  in
-  let run clients distinct duration warmup pipeline json () =
-    let sock = Filename.temp_file "probcons-bench" ".sock" in
-    Sys.remove sock;
-    let server =
-      Service.Server.start
-        {
-          Service.Server.default_config with
-          socket_path = Some sock;
-          queue_depth = 256;
-          cache_capacity = 4096;
-        }
-    in
-    let target = Service.Client.Unix_path sock in
-    let row ~wire ~pipeline =
-      Format.printf "servebench: wire/%d, pipeline %d, %gs window...@." wire
-        pipeline duration;
-      let r =
-        Service.Loadgen.run ~clients ~distinct ~duration ~warmup ~pipeline
-          ~wire ~target ()
-      in
-      Service.Loadgen.print_report r;
-      r
-    in
-    (* wire/2 first: the legacy newline framing, one call at a time —
-       the committed baseline's discipline. Then wire/3: binary frames,
-       pipelined. Same server, same pool, same window. *)
-    let r2 = row ~wire:2 ~pipeline:1 in
-    let r3 = row ~wire:3 ~pipeline in
-    Service.Server.stop server;
-    let speedup =
-      if r2.Service.Loadgen.throughput_rps > 0. then
-        r3.Service.Loadgen.throughput_rps /. r2.Service.Loadgen.throughput_rps
-      else 0.
-    in
-    Format.printf "servebench: wire/3 is %.2fx wire/2 (%.0f vs %.0f req/s)@."
-      speedup r3.Service.Loadgen.throughput_rps
-      r2.Service.Loadgen.throughput_rps;
-    let artifact =
-      Obs.Json.Obj
-        [
-          ("schema", Obs.Json.String "probcons-service-bench/1");
-          ( "rows",
-            Obs.Json.List
-              [ Service.Loadgen.to_json r2; Service.Loadgen.to_json r3 ] );
-          ("speedup", Obs.Json.number speedup);
-        ]
-    in
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string artifact);
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "servebench artifact written to %s@." path);
-    let broken r =
-      r.Service.Loadgen.errors > 0 || r.Service.Loadgen.mismatches > 0
-    in
-    if broken r2 || broken r3 then exit 1;
-    if speedup <= 1.0 then begin
-      Printf.eprintf
-        "servebench: FAIL: wire/3 (%.0f req/s) is not faster than wire/2 \
-         (%.0f req/s)\n"
-        r3.Service.Loadgen.throughput_rps r2.Service.Loadgen.throughput_rps;
-      exit 1
-    end
-  in
-  Cmd.v
-    (cmd_info "servebench"
-       ~doc:
-         "Benchmark an in-process server over both wire framings (wire/2 \
-          serial lines, then wire/3 pipelined binary frames) on the clean \
-          cached path and emit a two-row comparison artifact; fails unless \
-          wire/3 beats wire/2.")
-    (with_metrics
-       Term.(
-         const run $ clients_arg $ distinct_arg $ duration_arg $ warmup_arg
-         $ pipeline_arg $ json_arg))
-
 (* --- fleet --------------------------------------------------------- *)
 
 let fleet_cmd =
@@ -1396,51 +1282,6 @@ let fleet_cmd =
             "Emit the canonical fleet payload — byte-identical to what the \
              server returns for the same parameters over wire/2 and wire/3.")
   in
-  let bench_arg =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:
-            "Instead of the controller loop, benchmark incremental updates \
-             against full recomputes at each size in $(b,--sizes).")
-  in
-  let sizes_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1_000; 10_000 ]
-      & info [ "sizes" ] ~docv:"N1,N2,..."
-          ~doc:"Fleet sizes for $(b,--bench).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the probcons-fleet-bench/1 artifact to $(docv).")
-  in
-  let run_bench seed sizes out =
-    List.iter
-      (fun n -> if n <= 0 then die "fleet --bench: sizes must be positive")
-      sizes;
-    let rows = Fleetctl.Bench.run ~seed ~sizes () in
-    Format.printf "%10s  %-18s  %10s  %12s  %12s  %9s@." "n" "kernel" "ops"
-      "ns/op" "ops/s" "refreshes";
-    List.iter
-      (fun r ->
-        Format.printf "%10d  %-18s  %10d  %12.0f  %12.2f  %9d@."
-          r.Fleetctl.Bench.n r.Fleetctl.Bench.kernel r.Fleetctl.Bench.ops
-          r.Fleetctl.Bench.ns_per_op r.Fleetctl.Bench.ops_per_sec
-          r.Fleetctl.Bench.refreshes)
-      rows;
-    match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string (Fleetctl.Bench.to_json ~seed rows));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "fleet bench artifact written to %s@." path
-  in
   let dynamic_arg =
     Arg.(
       value & flag
@@ -1450,32 +1291,29 @@ let fleet_cmd =
              Markov degradation processes (nodes worsen and heal) and the \
              swap policy weighs estimates by their confidence intervals.")
   in
-  let run nodes ticks seed quorum nines dynamic json bench sizes out () =
-    if bench then run_bench seed sizes out
-    else begin
-      if nodes <= 0 then die "fleet: --nodes must be positive";
-      if ticks < 0 then die "fleet: --ticks must be non-negative";
-      let cfg =
-        Fleetctl.Controller.default_config ~seed ~ticks ~dynamic ~nodes ()
-      in
-      let cfg =
-        {
-          cfg with
-          Fleetctl.Controller.quorum =
-            (match quorum with
-            | None -> cfg.Fleetctl.Controller.quorum
-            | Some q ->
-                if q < 1 || q > nodes then
-                  die "fleet: --quorum must be in [1, %d]" nodes
-                else q);
-          target_live = Prob.Nines.to_prob nines;
-        }
-      in
-      let outcome = Fleetctl.Controller.run cfg in
-      if json then
-        print_endline (Obs.Json.to_string (Fleetctl.Controller.payload outcome))
-      else Format.printf "%a@." Fleetctl.Controller.pp_outcome outcome
-    end
+  let run nodes ticks seed quorum nines dynamic json () =
+    if nodes <= 0 then die "fleet: --nodes must be positive";
+    if ticks < 0 then die "fleet: --ticks must be non-negative";
+    let cfg =
+      Fleetctl.Controller.default_config ~seed ~ticks ~dynamic ~nodes ()
+    in
+    let cfg =
+      {
+        cfg with
+        Fleetctl.Controller.quorum =
+          (match quorum with
+          | None -> cfg.Fleetctl.Controller.quorum
+          | Some q ->
+              if q < 1 || q > nodes then
+                die "fleet: --quorum must be in [1, %d]" nodes
+              else q);
+        target_live = Prob.Nines.to_prob nines;
+      }
+    in
+    let outcome = Fleetctl.Controller.run cfg in
+    if json then
+      print_endline (Obs.Json.to_string (Fleetctl.Controller.payload outcome))
+    else Format.printf "%a@." Fleetctl.Controller.pp_outcome outcome
   in
   Cmd.v
     (cmd_info "fleet"
@@ -1487,64 +1325,7 @@ let fleet_cmd =
     (with_metrics
        Term.(
          const run $ nodes_arg $ ticks_arg $ seed_arg $ quorum_arg
-         $ fleet_nines_arg $ dynamic_arg $ json_arg $ bench_arg $ sizes_arg
-         $ out_arg))
-
-(* --- dynbench ------------------------------------------------------ *)
-
-let dynbench_cmd =
-  let sizes_arg =
-    Arg.(
-      value
-      & opt (list int) [ 100; 400; 1_000 ]
-      & info [ "sizes" ] ~docv:"N1,N2,..." ~doc:"Fleet sizes to bench.")
-  in
-  let rounds_arg =
-    Arg.(
-      value
-      & opt int Fleetctl.Dynbench.default_rounds
-      & info [ "rounds" ] ~docv:"R" ~doc:"Trajectory rounds per run.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the probcons-dynamic-bench/1 artifact to $(docv).")
-  in
-  let run seed sizes rounds out () =
-    List.iter
-      (fun n -> if n <= 0 then die "dynbench: sizes must be positive")
-      sizes;
-    if rounds < 1 then die "dynbench: --rounds must be positive";
-    let rows = Fleetctl.Dynbench.run ~seed ~rounds ~sizes () in
-    Format.printf "%10s  %-20s  %7s  %12s  %12s  %10s@." "n" "kernel" "rounds"
-      "ms/round" "rounds/s" "max_diff";
-    List.iter
-      (fun r ->
-        Format.printf "%10d  %-20s  %7d  %12.3f  %12.2f  %10.2e@."
-          r.Fleetctl.Dynbench.n r.Fleetctl.Dynbench.kernel
-          r.Fleetctl.Dynbench.rounds r.Fleetctl.Dynbench.ms_per_round
-          r.Fleetctl.Dynbench.rounds_per_sec r.Fleetctl.Dynbench.max_diff)
-      rows;
-    match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Obs.Json.to_string (Fleetctl.Dynbench.to_json ~seed rows));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "dynamic bench artifact written to %s@." path
-  in
-  Cmd.v
-    (cmd_info "dynbench"
-       ~doc:
-         "Benchmark horizon-trajectory analysis: per-round exact recomputes \
-          vs the incremental Poisson-binomial engine over a mostly-static \
-          fleet with a Markov-process minority.")
-    (with_metrics
-       Term.(const run $ seed_arg $ sizes_arg $ rounds_arg $ out_arg))
+         $ fleet_nines_arg $ dynamic_arg $ json_arg))
 
 (* --- replicate / replica-node ------------------------------------------ *)
 
@@ -1887,8 +1668,7 @@ let main_cmd =
       analyze_cmd; protocols_cmd; tables_cmd; optimize_cmd; markov_cmd;
       simulate_cmd; committee_cmd; benor_cmd; mixed_cmd; endtoend_cmd;
       bounds_cmd; plan_cmd; sweep_cmd; serve_cmd; loadgen_cmd; chaos_cmd;
-      dst_cmd; servebench_cmd; fleet_cmd; dynbench_cmd; replicate_cmd;
-      replica_node_cmd; version_cmd;
+      dst_cmd; fleet_cmd; replicate_cmd; replica_node_cmd; version_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -68,6 +68,8 @@ type t = {
   state : State.t;
   payloads : (int, string) Hashtbl.t; (* pump thread only *)
   waiters : (int, waiter) Hashtbl.t; (* pump thread only *)
+  mutable replies : (waiter * (Obs.Json.t, Server.reply_error) result) list;
+      (* pump thread only: answers held until this cycle's persist *)
   submit_mu : Mutex.t;
   mutable submit_q : (Command.op * waiter option) list; (* newest first *)
   inbound_mu : Mutex.t;
@@ -92,6 +94,15 @@ let resolve waiter result =
   Mutex.lock waiter.w_mu;
   if waiter.w_result = None then waiter.w_result <- Some result;
   Mutex.unlock waiter.w_mu
+
+(* A success reply is released only after the pump cycle's persist:
+   with n = 1 an entry commits and applies inside [Raft_node.submit],
+   before its log bytes are on disk. *)
+let defer t waiter result = t.replies <- (waiter, result) :: t.replies
+
+let release_replies t =
+  List.iter (fun (w, r) -> resolve w r) (List.rev t.replies);
+  t.replies <- []
 
 let read_status t =
   Mutex.lock t.status_mu;
@@ -161,7 +172,7 @@ let on_apply t (entry : Raft_types.entry) =
               let duplicate = outcome = `Duplicate in
               (match Hashtbl.find_opt t.waiters seq with
               | None -> ()
-              | Some w -> resolve w (reply_for_op op ~seq ~duplicate)));
+              | Some w -> defer t w (reply_for_op op ~seq ~duplicate)));
           Hashtbl.remove t.waiters seq))
 
 let handle_submit t (op, waiter) =
@@ -184,16 +195,18 @@ let handle_submit t (op, waiter) =
           | _ -> 0
         in
         Option.iter
-          (fun w -> resolve w (reply_for_op op ~seq ~duplicate:true))
+          (fun w -> defer t w (reply_for_op op ~seq ~duplicate:true))
           waiter
     | _ ->
         let seq = t.next_seq in
         Hashtbl.replace t.payloads seq bytes;
-        if Raft_node.submit t.raft seq then (
-          t.next_seq <- seq + 1;
-          Option.iter (fun w -> Hashtbl.replace t.waiters seq w) waiter)
+        (* The waiter goes in first: a single-replica log applies the
+           entry inside [submit], and [on_apply] must find it. *)
+        Option.iter (fun w -> Hashtbl.replace t.waiters seq w) waiter;
+        if Raft_node.submit t.raft seq then t.next_seq <- seq + 1
         else (
           Hashtbl.remove t.payloads seq;
+          Hashtbl.remove t.waiters seq;
           Option.iter (fun w -> resolve w (not_leader_error t)) waiter))
 
 let fail_waiters_if_deposed t =
@@ -272,6 +285,7 @@ let pump t =
        a reply acknowledging an append never leaves the process ahead
        of the log bytes it promises. *)
     maybe_persist t;
+    release_replies t;
     (* 5. Flush the outbox to the per-peer senders. *)
     let out = List.rev !(t.outbox) in
     t.outbox := [];
@@ -444,6 +458,7 @@ let start (cfg : config) =
       state = State.create ();
       payloads = Hashtbl.create 256;
       waiters = Hashtbl.create 16;
+      replies = [];
       submit_mu = Mutex.create ();
       submit_q = [];
       inbound_mu = Mutex.create ();
@@ -597,3 +612,4 @@ let is_leader t = (read_status t).s_role = "leader"
 let term t = (read_status t).s_term
 let leader_hint t = (read_status t).s_leader
 let state_counts t = State.counts t.state
+let waiting t = Hashtbl.length t.waiters

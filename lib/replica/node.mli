@@ -23,8 +23,9 @@
     A single {e pump} thread owns all Raft interaction. Each cycle:
     inject inbound envelopes (payload bytes land before their
     messages), drain client submissions, advance the engine to
-    wall-clock elapsed time, persist dirty Raft state, {e then} flush
-    outbound messages — so no acknowledgement leaves the process ahead
+    wall-clock elapsed time, persist dirty Raft state, {e then} answer
+    the writes applied this cycle and flush outbound messages — so no
+    acknowledgement, to a client or a peer, leaves the process ahead
     of the log bytes that justify it. With a [state_dir], a SIGKILLed
     replica restarts from its {!Storage} snapshot and re-applies
     committed entries idempotently. *)
@@ -93,4 +94,9 @@ val is_leader : t -> bool
 val term : t -> int
 val leader_hint : t -> int option
 val state_counts : t -> State.counts
+
+val waiting : t -> int
+(** Submitted writes not yet applied. Owned by the pump thread, so a
+    reader on another thread sees a recent, not a current, count. *)
+
 val status_json : t -> Obs.Json.t

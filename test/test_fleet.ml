@@ -1,7 +1,6 @@
 (* The fleet controller: telemetry stream determinism, the closed
    loop's recommendations, canonical-payload byte identity across the
-   CLI renderer and both wire framings, the DST system, and the
-   incremental-vs-recompute bench rows. *)
+   CLI renderer and both wire framings, and the DST system. *)
 
 open Fleetctl
 
@@ -451,33 +450,6 @@ let test_dst_fleet_registered () =
       Alcotest.(check string) "system tag" "fleet" sys.Dst.Harness.name
   | Error msg -> Alcotest.fail msg
 
-(* --- Bench ----------------------------------------------------------- *)
-
-let test_bench_rows () =
-  let rows = Bench.run ~seed:7 ~sizes:[ 300 ] () in
-  Alcotest.(check int) "two rows per size" 2 (List.length rows);
-  let inc = List.nth rows 0 and full = List.nth rows 1 in
-  Alcotest.(check string) "incremental first" "incremental-update"
-    inc.Bench.kernel;
-  Alcotest.(check string) "recompute second" "full-recompute" full.Bench.kernel;
-  Alcotest.(check int) "window length" (Bench.ops_for 300) inc.Bench.ops;
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "positive timing" true
-        (Float.is_finite r.Bench.ns_per_op && r.Bench.ns_per_op > 0.))
-    rows;
-  (* Even at 300 nodes the O(n) update beats the O(n^2) recompute —
-     the committed artifact's 10x floor at n >= 10^4 has huge margin,
-     so a modest 2x floor here keeps the test robust on slow CI. *)
-  Alcotest.(check bool) "incremental faster" true
-    (full.Bench.ns_per_op > 2. *. inc.Bench.ns_per_op);
-  match Bench.to_json ~seed:7 rows with
-  | Obs.Json.Obj fields ->
-      Alcotest.(check bool) "schema tag" true
-        (List.assoc_opt "schema" fields
-        = Some (Obs.Json.String "probcons-fleet-bench/1"))
-  | _ -> Alcotest.fail "bench artifact must be an object"
-
 let suite =
   [
     Alcotest.test_case "stream determinism" `Quick test_stream_determinism;
@@ -511,5 +483,4 @@ let suite =
     Alcotest.test_case "dst fleet soak" `Quick test_dst_fleet_soak;
     Alcotest.test_case "dst fleet codec" `Quick test_dst_fleet_codec;
     Alcotest.test_case "dst fleet registered" `Quick test_dst_fleet_registered;
-    Alcotest.test_case "bench rows" `Quick test_bench_rows;
   ]

@@ -25,4 +25,5 @@ let () =
       ("dst", Test_dst.suite);
       ("fleet", Test_fleet.suite);
       ("replica", Test_replica.suite);
+      ("validate", Test_validate.suite);
     ]

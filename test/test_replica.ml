@@ -342,6 +342,29 @@ let test_e2e_put_get () =
                  && s first = 1
              | [] -> false)))
 
+(* A single replica commits and applies inside the submit call itself;
+   the put must still find its waiter and be answered at once, not
+   after the commit timeout by a duplicate-flagged retry. *)
+let test_single_replica_put () =
+  with_cluster ~n:1 (fun ~base ~nodes ->
+      let leader = wait_leader nodes in
+      let multi = multi_of ~base ~n:1 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      let started = Unix.gettimeofday () in
+      let put =
+        expect_ok "put"
+          (Client.Multi.call multi ~id:1
+             (Wire.Scenario_put { name = "solo"; scenario = scenario_a; nonce = 0 }))
+      in
+      let elapsed = Unix.gettimeofday () -. started in
+      Alcotest.(check bool)
+        (Printf.sprintf "acknowledged within 1 s (took %.2f s)" elapsed)
+        true (elapsed < 1.);
+      Alcotest.(check bool)
+        "first put is not a duplicate" true
+        (Obs.Json.member "duplicate" put = None);
+      Alcotest.(check int) "no waiter left behind" 0 (Node.waiting leader))
+
 let test_failover_and_restart () =
   let root = tmp_dir "probcons-replica-failover" in
   with_cluster ~state_dir:root ~n:3 (fun ~base ~nodes ->
@@ -570,6 +593,8 @@ let suite =
     Alcotest.test_case "durable storage round-trip" `Quick test_storage_roundtrip;
     Alcotest.test_case "wire replica query kinds" `Quick test_wire_replica_kinds;
     Alcotest.test_case "cluster put/get/linearizable" `Slow test_e2e_put_get;
+    Alcotest.test_case "single-replica put acknowledged at once" `Slow
+      test_single_replica_put;
     Alcotest.test_case "leader failover and crash restart" `Slow
       test_failover_and_restart;
     Alcotest.test_case "chaos blackhole costs leadership not consistency" `Slow

@@ -1,26 +1,19 @@
 (* Schema check for CI-archived JSON artifacts, dispatched on the
    top-level schema tag:
 
-   - probcons-bench/2    the bench harness's --json artifact
-   - probcons-loadgen/1  the service load generator's --json artifact
-     (legacy; current runs emit /3)
-   - probcons-loadgen/2  loadgen with a per-error-code breakdown
-   - probcons-loadgen/3  loadgen with wire version, pipeline depth and
-     a warmup/measured-window split; the measured window must be at
-     least one second, so a throughput number can never come from a
-     sub-second burst
+   - probcons-bench/2    the bench harness's --json artifact: one row
+     per measured kernel, each checked against the gate table below
+   - probcons-loadgen/3  the service load generator's --json artifact:
+     wire version, pipeline depth and a warmup/measured-window split;
+     the measured window must be at least one second, so a throughput
+     number can never come from a sub-second burst
    - probcons-chaos/1    the chaos soak harness: fault plan + injection
      counts + the embedded loadgen report + the drain check
-   - probcons-service-bench/1  the servebench wire/2-vs-wire/3
-     comparison: two loadgen/3 rows on one server, wire/3 strictly
-     faster
    - probcons-repro/1    the DST harness's minimal-reproduction
      artifact: seeds, system tag, scenario, fault plan, op trace,
      violated invariant, expectation, shrink statistics
-   - probcons-fleet-bench/1  the incremental Poisson-binomial engine's
-     update-vs-recompute comparison: paired rows per fleet size, and at
-     every size >= 10^4 the incremental kernel must beat the full
-     recompute by at least 10x
+   - probcons-repl-avail/1  the replication soak: measured per-window
+     availability against the analytical prediction
 
    CI runs this against each before archiving; a non-zero exit fails
    the workflow rather than shipping a malformed artifact. *)
@@ -74,10 +67,114 @@ let check_row artifact_path i row =
   | Some (Obs.Json.String ref_path) ->
       check_scenario_ref artifact_path i ref_path
   | Some _ -> fail "row %d: scenario must be a string path" i);
+  (match int_field "n" row with
+  | Some _ -> ()
+  | None -> fail "row %d: missing integer n" i);
   match num "ns_per_run" row with
   | Some v when Float.is_finite v && v > 0. -> ()
   | Some v -> fail "row %d: ns_per_run not finite and positive (%g)" i v
   | None -> fail "row %d: missing numeric ns_per_run" i
+
+(* The performance claims the bench archives. The thresholds live here,
+   not in the artifact, so an artifact cannot turn its own checks off;
+   and a gate that finds none of its rows fails, so dropping a bench
+   section cannot pass vacuously either. *)
+type gate =
+  | Speedup of {
+      fast : string;
+      slow : string;
+      min_n : int;
+      floor : float;
+      strict : bool;
+    }
+      (** At every n either kernel reports, both report exactly one row;
+          at n >= [min_n] (at least one such n), slow ns_per_run / fast
+          ns_per_run reaches [floor], or exceeds it when [strict]. *)
+  | Bound of { kernel : string; field : string; lo : float; hi : float }
+      (** Every row of [kernel] (at least one) carries numeric [field]
+          within [lo, hi]. *)
+
+let clean_loadgen kernel =
+  [
+    Bound { kernel; field = "errors"; lo = 0.; hi = 0. };
+    Bound { kernel; field = "mismatches"; lo = 0.; hi = 0. };
+    (* Throughput claims need a real measurement window behind them. *)
+    Bound { kernel; field = "elapsed_seconds"; lo = 1.; hi = infinity };
+  ]
+
+let gates =
+  [
+    Speedup
+      {
+        fast = "fleet/incremental-update";
+        slow = "fleet/full-recompute";
+        min_n = 10_000;
+        floor = 10.;
+        strict = false;
+      };
+    Speedup
+      {
+        fast = "horizon/incremental";
+        slow = "horizon/exact";
+        min_n = 100;
+        floor = 5.;
+        strict = false;
+      };
+    Bound { kernel = "horizon/incremental"; field = "max_diff"; lo = 0.; hi = 1e-9 };
+    Speedup
+      {
+        fast = "service/loadgen-wire3";
+        slow = "service/loadgen-wire2";
+        min_n = 0;
+        floor = 1.;
+        strict = true;
+      };
+  ]
+  @ clean_loadgen "service/loadgen-wire2"
+  @ clean_loadgen "service/loadgen-wire3"
+
+(* Rows have passed [check_row], so n and ns_per_run are present. *)
+let rows_of kernel rows =
+  List.filter_map
+    (fun row ->
+      if str "kernel" row = Some kernel then
+        Some (Option.get (int_field "n" row), row)
+      else None)
+    rows
+
+let check_gate rows = function
+  | Bound { kernel; field; lo; hi } ->
+      let matching = rows_of kernel rows in
+      if matching = [] then fail "gate: no %s row" kernel;
+      List.iter
+        (fun (n, row) ->
+          match num field row with
+          | Some v when v >= lo && v <= hi -> ()
+          | Some v -> fail "%s n=%d: %s = %g outside [%g, %g]" kernel n field v lo hi
+          | None -> fail "%s n=%d: missing numeric %s" kernel n field)
+        matching;
+      Printf.sprintf "%s %s in [%g, %g]" kernel field lo hi
+  | Speedup { fast; slow; min_n; floor; strict } ->
+      let fast_rows = rows_of fast rows and slow_rows = rows_of slow rows in
+      let ns_at kernel kernel_rows n =
+        match List.filter (fun (m, _) -> m = n) kernel_rows with
+        | [ (_, row) ] -> Option.get (num "ns_per_run" row)
+        | [] -> fail "n=%d: %s/%s pair is missing its %s row" n fast slow kernel
+        | _ -> fail "n=%d: duplicate %s rows" n kernel
+      in
+      let checked =
+        List.sort_uniq compare (List.map fst fast_rows @ List.map fst slow_rows)
+        |> List.filter_map (fun n ->
+               let ratio = ns_at slow slow_rows n /. ns_at fast fast_rows n in
+               let passes = if strict then ratio > floor else ratio >= floor in
+               if n < min_n then None
+               else if not passes then
+                 fail "n=%d: %s is only %.2fx %s; the floor is %s%gx" n fast
+                   ratio slow (if strict then "above " else "") floor
+               else Some (Printf.sprintf "n=%d %.1fx" n ratio))
+      in
+      if checked = [] then fail "gate: no %s/%s pair at n >= %d" fast slow min_n;
+      Printf.sprintf "%s vs %s: %s" fast slow (String.concat ", " checked)
 
 let validate_bench path doc =
   let rows =
@@ -87,6 +184,7 @@ let validate_bench path doc =
     | None -> fail "missing rows list"
   in
   List.iteri (check_row path) rows;
+  List.iter (fun gate -> print_endline ("  gate " ^ check_gate rows gate)) gates;
   match Obs.Json.member "metrics" doc with
   | None -> fail "missing metrics snapshot"
   | Some metrics -> (
@@ -98,12 +196,12 @@ let validate_bench path doc =
             path (List.length rows) (List.length samples)
             (Hashtbl.length scenario_cache))
 
-(* --- probcons-loadgen/1 and /2 ----------------------------------------- *)
+(* --- probcons-loadgen/3 --------------------------------------------------- *)
 
-(* v2 adds errors_by_code: an object of non-negative per-code counts
-   that must sum to the errors total — the soak harness keys its
-   pass/fail decision on which codes appear, so a malformed breakdown
-   is a schema failure, not a cosmetic one. *)
+(* errors_by_code: an object of positive per-code counts that must sum
+   to the errors total — the soak harness keys its pass/fail decision
+   on which codes appear, so a malformed breakdown is a schema failure,
+   not a cosmetic one. *)
 let check_errors_by_code doc errors =
   match Obs.Json.member "errors_by_code" doc with
   | Some (Obs.Json.Obj fields) ->
@@ -122,7 +220,7 @@ let check_errors_by_code doc errors =
   | Some _ -> fail "errors_by_code must be an object"
   | None -> fail "missing errors_by_code"
 
-let validate_loadgen ?(version = 1) path doc =
+let validate_loadgen path doc =
   let require_int key =
     match int_field key doc with
     | Some i when i >= 0 -> i
@@ -142,26 +240,24 @@ let validate_loadgen ?(version = 1) path doc =
   if ok + errors <> total then
     fail "ok (%d) + errors (%d) does not account for requests_total (%d)" ok
       errors total;
-  if version >= 2 then check_errors_by_code doc errors;
-  if version >= 3 then begin
-    (match int_field "wire_version" doc with
-    | Some v when v >= 1 && v <= 3 -> ()
-    | Some v -> fail "wire_version must be 1..3, got %d" v
-    | None -> fail "missing integer wire_version");
-    (match int_field "pipeline" doc with
-    | Some p when p >= 1 -> ()
-    | Some p -> fail "pipeline must be positive, got %d" p
-    | None -> fail "missing integer pipeline");
-    (match num "warmup_seconds" doc with
-    | Some v when Float.is_finite v && v >= 0. -> ()
-    | Some v -> fail "warmup_seconds not finite and non-negative (%g)" v
-    | None -> fail "missing numeric warmup_seconds");
-    (* Throughput claims need a real measurement window behind them. *)
-    match num "elapsed_seconds" doc with
-    | Some v when Float.is_finite v && v >= 1.0 -> ()
-    | Some v -> fail "elapsed_seconds must be at least 1.0s, got %g" v
-    | None -> fail "missing numeric elapsed_seconds"
-  end;
+  check_errors_by_code doc errors;
+  (match int_field "wire_version" doc with
+  | Some v when v >= 1 && v <= 3 -> ()
+  | Some v -> fail "wire_version must be 1..3, got %d" v
+  | None -> fail "missing integer wire_version");
+  (match int_field "pipeline" doc with
+  | Some p when p >= 1 -> ()
+  | Some p -> fail "pipeline must be positive, got %d" p
+  | None -> fail "missing integer pipeline");
+  (match num "warmup_seconds" doc with
+  | Some v when Float.is_finite v && v >= 0. -> ()
+  | Some v -> fail "warmup_seconds not finite and non-negative (%g)" v
+  | None -> fail "missing numeric warmup_seconds");
+  (* Throughput claims need a real measurement window behind them. *)
+  (match num "elapsed_seconds" doc with
+  | Some v when Float.is_finite v && v >= 1.0 -> ()
+  | Some v -> fail "elapsed_seconds must be at least 1.0s, got %g" v
+  | None -> fail "missing numeric elapsed_seconds");
   (match num "throughput_rps" doc with
   | Some v when Float.is_finite v && v > 0. -> ()
   | Some v -> fail "throughput_rps not finite and positive (%g)" v
@@ -226,58 +322,11 @@ let validate_chaos path doc =
     | None -> fail "missing embedded loadgen report"
   in
   (match str "schema" loadgen with
-  | Some "probcons-loadgen/2" -> validate_loadgen ~version:2 (path ^ "#loadgen") loadgen
-  | Some "probcons-loadgen/3" -> validate_loadgen ~version:3 (path ^ "#loadgen") loadgen
+  | Some "probcons-loadgen/3" -> validate_loadgen (path ^ "#loadgen") loadgen
   | Some other ->
-      fail "embedded loadgen has schema %S, want probcons-loadgen/2 or /3" other
+      fail "embedded loadgen has schema %S, want probcons-loadgen/3" other
   | None -> fail "embedded loadgen is missing its schema tag");
   Printf.printf "%s: OK (chaos soak, %d fault counters)\n" path fault_count
-
-(* --- probcons-service-bench/1 ------------------------------------------- *)
-
-(* Two loadgen/3 rows measured against the same in-process server:
-   wire/2 serial lines first, wire/3 pipelined frames second. The
-   artifact is a performance claim, so the claim is checked: both rows
-   clean (no errors, no byte-identity mismatches), and wire/3 strictly
-   faster than wire/2. *)
-let validate_service_bench path doc =
-  let rows =
-    match Option.bind (Obs.Json.member "rows" doc) Obs.Json.to_list with
-    | Some ([ _; _ ] as rows) -> rows
-    | Some rows -> fail "want exactly 2 rows (wire/2, wire/3), got %d" (List.length rows)
-    | None -> fail "missing rows list"
-  in
-  let check_row want_wire row =
-    (match str "schema" row with
-    | Some "probcons-loadgen/3" -> ()
-    | Some other -> fail "row has schema %S, want probcons-loadgen/3" other
-    | None -> fail "row is missing its schema tag");
-    (match int_field "wire_version" row with
-    | Some v when v = want_wire -> ()
-    | Some v -> fail "row has wire_version %d, want %d" v want_wire
-    | None -> fail "row is missing wire_version");
-    (match int_field "errors" row with
-    | Some 0 -> ()
-    | _ -> fail "wire/%d row is not clean (errors != 0)" want_wire);
-    (match int_field "mismatches" row with
-    | Some 0 -> ()
-    | _ -> fail "wire/%d row has byte-identity mismatches" want_wire);
-    validate_loadgen ~version:3
-      (Printf.sprintf "%s#wire%d" path want_wire)
-      row;
-    match num "throughput_rps" row with Some v -> v | None -> 0.
-  in
-  let r2, r3 =
-    match rows with [ a; b ] -> (check_row 2 a, check_row 3 b) | _ -> assert false
-  in
-  (match num "speedup" doc with
-  | Some v when Float.is_finite v && v > 0. -> ()
-  | Some v -> fail "speedup not finite and positive (%g)" v
-  | None -> fail "missing numeric speedup");
-  if not (r3 > r2) then
-    fail "wire/3 (%.0f req/s) is not strictly faster than wire/2 (%.0f req/s)" r3 r2;
-  Printf.printf "%s: OK (wire/3 %.0f req/s vs wire/2 %.0f req/s, %.2fx)\n" path
-    r3 r2 (r3 /. r2)
 
 (* --- probcons-repro/1 ---------------------------------------------------- *)
 
@@ -304,189 +353,7 @@ let validate_repro path doc =
         r.Dst.Repro.original_units r.Dst.Repro.shrunk_units
         r.Dst.Repro.shrink_attempts
 
-(* --- probcons-fleet-bench/1 ---------------------------------------------- *)
-
-(* Paired rows per fleet size: an "incremental-update" row (sustained
-   O(n) engine updates, drift refreshes included and counted) and a
-   "full-recompute" row (from-scratch O(n^2) DP). The artifact is a
-   performance claim — the whole point of the incremental engine — so
-   the claim is checked: at every size >= 10^4 the incremental kernel
-   must be at least 10x faster per operation. *)
-let fleet_speedup_floor = 10.
-let fleet_speedup_min_n = 10_000
-
-let validate_fleet_bench path doc =
-  (match num "drift_bound" doc with
-  | Some v when Float.is_finite v && v >= 0. -> ()
-  | Some v -> fail "drift_bound not finite and non-negative (%g)" v
-  | None -> fail "missing numeric drift_bound");
-  let rows =
-    match Option.bind (Obs.Json.member "rows" doc) Obs.Json.to_list with
-    | Some [] -> fail "rows is empty"
-    | Some rows -> rows
-    | None -> fail "missing rows list"
-  in
-  let per_size = Hashtbl.create 8 in
-  List.iteri
-    (fun i row ->
-      let n =
-        match int_field "n" row with
-        | Some n when n >= 1 -> n
-        | Some n -> fail "row %d: n must be positive, got %d" i n
-        | None -> fail "row %d: missing integer n" i
-      in
-      let kernel =
-        match str "kernel" row with
-        | Some ("incremental-update" | "full-recompute") as k -> Option.get k
-        | Some other -> fail "row %d: unknown kernel %S" i other
-        | None -> fail "row %d: missing kernel" i
-      in
-      (match int_field "ops" row with
-      | Some ops when ops >= 1 -> ()
-      | _ -> fail "row %d: ops must be a positive integer" i);
-      (match int_field "refreshes" row with
-      | Some r when r >= 0 -> ()
-      | _ -> fail "row %d: refreshes must be a non-negative integer" i);
-      let ns =
-        match num "ns_per_op" row with
-        | Some v when Float.is_finite v && v > 0. -> v
-        | Some v -> fail "row %d: ns_per_op not finite and positive (%g)" i v
-        | None -> fail "row %d: missing numeric ns_per_op" i
-      in
-      (match num "ops_per_sec" row with
-      | Some v when Float.is_finite v && v > 0. -> ()
-      | Some v -> fail "row %d: ops_per_sec not finite and positive (%g)" i v
-      | None -> fail "row %d: missing numeric ops_per_sec" i);
-      if Hashtbl.mem per_size (n, kernel) then
-        fail "row %d: duplicate (%d, %s) row" i n kernel;
-      Hashtbl.replace per_size (n, kernel) ns)
-    rows;
-  let sizes =
-    Hashtbl.fold (fun (n, _) _ acc -> if List.mem n acc then acc else n :: acc)
-      per_size []
-    |> List.sort compare
-  in
-  let checked =
-    List.map
-      (fun n ->
-        let lookup kernel =
-          match Hashtbl.find_opt per_size (n, kernel) with
-          | Some ns -> ns
-          | None -> fail "n=%d: missing %S row" n kernel
-        in
-        let inc = lookup "incremental-update" in
-        let full = lookup "full-recompute" in
-        let speedup = full /. inc in
-        if n >= fleet_speedup_min_n && speedup < fleet_speedup_floor then
-          fail
-            "n=%d: incremental (%.0f ns/op) is only %.1fx the full recompute \
-             (%.0f ns/op); the floor is %.0fx"
-            n inc speedup full fleet_speedup_floor;
-        (n, speedup))
-      sizes
-  in
-  Printf.printf "%s: OK (fleet bench, %d sizes: %s)\n" path (List.length sizes)
-    (String.concat ", "
-       (List.map
-          (fun (n, s) -> Printf.sprintf "n=%d %.0fx" n s)
-          checked))
-
-(* --- probcons-dynamic-bench/1 -------------------------------------------- *)
-
-(* Paired rows per fleet size: a "horizon-exact" row (from-scratch DP
-   every trajectory round) and a "horizon-incremental" row (changed
-   rounds through the incremental Poisson-binomial engine). Two claims
-   are archived and both are checked: at every size >= 100 the
-   incremental kernel is at least 5x faster per round, and its
-   trajectory never deviates from the exact one by more than 1e-9 in
-   p_live. *)
-let dynamic_speedup_floor = 5.
-let dynamic_speedup_min_n = 100
-let dynamic_max_diff = 1e-9
-
-let validate_dynamic_bench path doc =
-  (match num "horizon" doc with
-  | Some v when Float.is_finite v && v > 0. -> ()
-  | Some v -> fail "horizon not finite and positive (%g)" v
-  | None -> fail "missing numeric horizon");
-  let rows =
-    match Option.bind (Obs.Json.member "rows" doc) Obs.Json.to_list with
-    | Some [] -> fail "rows is empty"
-    | Some rows -> rows
-    | None -> fail "missing rows list"
-  in
-  let per_size = Hashtbl.create 8 in
-  List.iteri
-    (fun i row ->
-      let n =
-        match int_field "n" row with
-        | Some n when n >= 1 -> n
-        | Some n -> fail "row %d: n must be positive, got %d" i n
-        | None -> fail "row %d: missing integer n" i
-      in
-      let kernel =
-        match str "kernel" row with
-        | Some ("horizon-exact" | "horizon-incremental") as k -> Option.get k
-        | Some other -> fail "row %d: unknown kernel %S" i other
-        | None -> fail "row %d: missing kernel" i
-      in
-      (match int_field "rounds" row with
-      | Some r when r >= 1 -> ()
-      | _ -> fail "row %d: rounds must be a positive integer" i);
-      let ms =
-        match num "ms_per_round" row with
-        | Some v when Float.is_finite v && v > 0. -> v
-        | Some v ->
-            fail "row %d: ms_per_round not finite and positive (%g)" i v
-        | None -> fail "row %d: missing numeric ms_per_round" i
-      in
-      (match num "rounds_per_sec" row with
-      | Some v when Float.is_finite v && v > 0. -> ()
-      | Some v ->
-          fail "row %d: rounds_per_sec not finite and positive (%g)" i v
-      | None -> fail "row %d: missing numeric rounds_per_sec" i);
-      (match num "max_diff" row with
-      | Some v when Float.is_finite v && v >= 0. && v <= dynamic_max_diff -> ()
-      | Some v ->
-          fail
-            "row %d: max_diff %g outside [0, %g] — the incremental \
-             trajectory drifted from the exact one"
-            i v dynamic_max_diff
-      | None -> fail "row %d: missing numeric max_diff" i);
-      if Hashtbl.mem per_size (n, kernel) then
-        fail "row %d: duplicate (%d, %s) row" i n kernel;
-      Hashtbl.replace per_size (n, kernel) ms)
-    rows;
-  let sizes =
-    Hashtbl.fold (fun (n, _) _ acc -> if List.mem n acc then acc else n :: acc)
-      per_size []
-    |> List.sort compare
-  in
-  let checked =
-    List.map
-      (fun n ->
-        let lookup kernel =
-          match Hashtbl.find_opt per_size (n, kernel) with
-          | Some ms -> ms
-          | None -> fail "n=%d: missing %S row" n kernel
-        in
-        let inc = lookup "horizon-incremental" in
-        let exact = lookup "horizon-exact" in
-        let speedup = exact /. inc in
-        if n >= dynamic_speedup_min_n && speedup < dynamic_speedup_floor then
-          fail
-            "n=%d: incremental (%.3f ms/round) is only %.1fx the exact \
-             kernel (%.3f ms/round); the floor is %.0fx"
-            n inc speedup exact dynamic_speedup_floor;
-        (n, speedup))
-      sizes
-  in
-  Printf.printf "%s: OK (dynamic bench, %d sizes: %s)\n" path
-    (List.length sizes)
-    (String.concat ", "
-       (List.map
-          (fun (n, s) -> Printf.sprintf "n=%d %.0fx" n s)
-          checked))
+(* --- probcons-repl-avail/1 ------------------------------------------------ *)
 
 (* The replication-availability artifact (probcons replicate --measure):
    measured per-window success rates against the analytical prediction.
@@ -576,14 +443,9 @@ let () =
   in
   match str "schema" doc with
   | Some "probcons-bench/2" -> validate_bench path doc
-  | Some "probcons-loadgen/1" -> validate_loadgen ~version:1 path doc
-  | Some "probcons-loadgen/2" -> validate_loadgen ~version:2 path doc
-  | Some "probcons-loadgen/3" -> validate_loadgen ~version:3 path doc
+  | Some "probcons-loadgen/3" -> validate_loadgen path doc
   | Some "probcons-chaos/1" -> validate_chaos path doc
-  | Some "probcons-service-bench/1" -> validate_service_bench path doc
   | Some "probcons-repro/1" -> validate_repro path doc
-  | Some "probcons-fleet-bench/1" -> validate_fleet_bench path doc
-  | Some "probcons-dynamic-bench/1" -> validate_dynamic_bench path doc
   | Some "probcons-repl-avail/1" -> validate_repl_avail path doc
   | Some other -> fail "unexpected schema %S" other
   | None -> fail "missing schema tag"
