@@ -427,7 +427,8 @@ let submit_config t proposal =
     true
   end
 
-let persistent_state t = (t.term, t.voted_for, Dessim.Vec.to_list t.log)
+let voted_for t = t.voted_for
+let entry t index = Dessim.Vec.get t.log (index - 1)
 
 let restore t ~term ~voted_for ~log =
   if last_log_index t > 0 || t.term > 0 then

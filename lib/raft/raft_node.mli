@@ -102,11 +102,21 @@ val leader_hint : t -> int option
     campaigning. The hint can be stale — callers use it for client
     redirects, not correctness. *)
 
-val persistent_state : t -> int * int option * Raft_types.entry list
-(** The durable Raft state [(current_term, voted_for, log)] — exactly
-    what the paper requires on stable storage before answering RPCs.
-    {!Replica.Storage} snapshots this for crash recovery and follower
-    catch-up. *)
+val voted_for : t -> int option
+(** The candidate this node voted for in its current term. With
+    {!current_term} and the log, exactly what the paper requires on
+    stable storage before answering RPCs; {!Replica.Storage} persists it
+    for crash recovery. *)
+
+val last_log_index : t -> int
+(** Index of the last log entry; 0 for an empty log. *)
+
+val entry_term : t -> int -> int
+(** Term of the entry at a 1-based index; 0 at index 0. Raises
+    [Invalid_argument] past {!last_log_index}. *)
+
+val entry : t -> int -> Raft_types.entry
+(** The entry at a 1-based index in [1 .. last_log_index]. *)
 
 val restore : t -> term:int -> voted_for:int option -> log:Raft_types.entry list -> unit
 (** Load persisted state into a freshly created node (before it has

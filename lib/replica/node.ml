@@ -87,7 +87,7 @@ type t = {
   start_wall : float;
   mutable next_seq : int;
   mutable leader_epoch : bool * int;
-  mutable persisted_mark : (int * int option * int * int) option;
+  mutable wal : Storage.writer option; (* pump thread only after start *)
 }
 
 let resolve waiter result =
@@ -216,24 +216,19 @@ let fail_waiters_if_deposed t =
     Hashtbl.reset t.waiters)
 
 let maybe_persist t =
-  match t.cfg.state_dir with
-  | None -> ()
-  | Some dir ->
-      let term, voted_for, log = Raft_node.persistent_state t.raft in
-      let mark =
-        match log with
-        | [] -> (term, voted_for, 0, 0)
-        | _ ->
-            let last = List.nth log (List.length log - 1) in
-            (term, voted_for, last.Raft_types.index, last.Raft_types.term)
-      in
-      if t.persisted_mark <> Some mark then (
-        let payloads =
-          Hashtbl.fold (fun seq bytes acc -> (seq, bytes) :: acc) t.payloads []
-          |> List.sort compare
-        in
-        Storage.save ~dir { Storage.term; voted_for; log; payloads };
-        t.persisted_mark <- Some mark)
+  Option.iter
+    (fun wal ->
+      let r = t.raft in
+      Storage.persist wal ~term:(Raft_node.current_term r)
+        ~voted_for:(Raft_node.voted_for r)
+        ~last_index:(Raft_node.last_log_index r) ~term_at:(Raft_node.entry_term r)
+        ~entry:(fun i ->
+          let e = Raft_node.entry r i in
+          ( e,
+            match e.command with
+            | Data seq -> Hashtbl.find_opt t.payloads seq
+            | Config _ -> None )))
+    t.wal
 
 let update_status t ~now ~had_inbound =
   let is_leader = Raft_node.is_leader t.raft in
@@ -483,24 +478,27 @@ let start (cfg : config) =
       start_wall = Unix.gettimeofday ();
       next_seq = 1;
       leader_epoch = (false, 0);
-      persisted_mark = None;
+      wal = None;
     }
   in
-  (* Crash recovery: load the durable snapshot before any message or
-     timer has run; committed entries re-apply through the hook. *)
+  (* Crash recovery: replay the durable log before any message or timer
+     has run; committed entries re-apply through the hook. *)
   (match cfg.state_dir with
   | None -> ()
   | Some dir -> (
-      match Storage.load ~dir with
+      match Storage.open_writer ~dir with
       | Error msg -> failwith ("replica " ^ string_of_int cfg.id ^ ": " ^ msg)
-      | Ok None -> ()
-      | Ok (Some snap) ->
-          Raft_node.restore raft ~term:snap.Storage.term
-            ~voted_for:snap.Storage.voted_for ~log:snap.Storage.log;
-          List.iter
-            (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes)
-            snap.Storage.payloads;
-          t.next_seq <- 1 + max_data_seq snap.Storage.log));
+      | Ok (wal, snap) ->
+          t.wal <- Some wal;
+          Option.iter
+            (fun (snap : Storage.snapshot) ->
+              Raft_node.restore raft ~term:snap.term ~voted_for:snap.voted_for
+                ~log:snap.log;
+              List.iter
+                (fun (seq, bytes) -> Hashtbl.replace t.payloads seq bytes)
+                snap.payloads;
+              t.next_seq <- 1 + max_data_seq snap.log)
+            snap));
   Raft_node.set_apply_hook raft (on_apply t);
   (* Outbound raft messages: collect into the pump-local outbox with
      command payloads piggybacked for any Data entries. *)
@@ -595,7 +593,9 @@ let stop t =
       t.senders.(i) <- None)
     t.senders;
   Array.iter Service.Chaos.stop t.proxies;
-  t.proxies <- [||]
+  t.proxies <- [||];
+  Option.iter Storage.close t.wal;
+  t.wal <- None
 
 let set_chaos_plan t plan =
   Array.iter (fun proxy -> Service.Chaos.set_plan proxy plan) t.proxies

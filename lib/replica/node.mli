@@ -26,9 +26,11 @@
     wall-clock elapsed time, persist dirty Raft state, {e then} answer
     the writes applied this cycle and flush outbound messages — so no
     acknowledgement, to a client or a peer, leaves the process ahead
-    of the log bytes that justify it. With a [state_dir], a SIGKILLed
-    replica restarts from its {!Storage} snapshot and re-applies
-    committed entries idempotently. *)
+    of the log bytes that justify it. Persisting appends only what
+    changed since the last cycle to the replica's {!Storage} log, with
+    one fsync (none when nothing changed). With a [state_dir], a
+    SIGKILLed replica restarts from that log and re-applies committed
+    entries idempotently. *)
 
 type config = {
   id : int;  (** Replica id in [0..n-1]. *)

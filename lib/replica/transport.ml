@@ -92,7 +92,7 @@ module Sender = struct
         let fd = Unix.socket PF_INET SOCK_STREAM 0 in
         try
           Unix.setsockopt fd TCP_NODELAY true;
-          Unix.connect fd
+          Service.Client.connect_socket fd
             (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port));
           t.fd <- Some fd;
           Some fd

@@ -39,6 +39,13 @@ let sockaddr = function
   | Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
   | Tcp port -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
 
+let connect_socket fd addr =
+  Unix.connect fd addr;
+  match (addr, Unix.getsockname fd) with
+  | Unix.ADDR_INET _, (Unix.ADDR_INET _ as local) when local = addr ->
+      raise (Unix.Unix_error (Unix.ECONNREFUSED, "connect", "self-connected"))
+  | _ -> ()
+
 (* --- Connecting with jittered exponential backoff ---------------------- *)
 
 (* Sleep grows [initial, initial*multiplier, ...] capped at [max_sleep],
@@ -55,7 +62,7 @@ let connect_once t ~deadline =
   let domain, addr = sockaddr t.target in
   let rec attempt k =
     let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd addr with
+    match connect_socket fd addr with
     | () -> fd
     | exception
         Unix.Unix_error

@@ -33,6 +33,13 @@
 type target = Unix_path of string | Tcp of int
 (** [Tcp port] connects to 127.0.0.1. *)
 
+val connect_socket : Unix.file_descr -> Unix.sockaddr -> unit
+(** [Unix.connect], except that a TCP socket that ends up connected to
+    itself raises [ECONNREFUSED]: on loopback, a connect to a port
+    nobody listens on can draw that same port as its ephemeral source
+    (TCP simultaneous open) and would then hold the port against the
+    server about to bind it, e.g. a replica restarting. *)
+
 type backoff = {
   seed : int;  (** Jitter stream; equal seeds give equal schedules. *)
   initial : float;  (** First sleep, seconds. *)

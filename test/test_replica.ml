@@ -15,9 +15,21 @@ module Raft_types = Raft_sim.Raft_types
 
 let port_counter = ref 0
 
-let fresh_base () =
+(* Each cluster takes a block of 30 ports below the kernel's ephemeral
+   range (32768 and up on Linux), so no outbound connection of an earlier
+   cluster can hold one, and the block is probed free before use. *)
+let port_free port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  match Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+let rec fresh_base () =
   incr port_counter;
-  44000 + (Unix.getpid () mod 100 * 400) + (!port_counter * 30)
+  let base = 12000 + ((Unix.getpid () mod 50 * 400) + (!port_counter * 30)) mod 20000 in
+  if List.for_all port_free (List.init 30 (( + ) base)) then base else fresh_base ()
 
 let tmp_dir prefix =
   let dir =
@@ -184,6 +196,189 @@ let test_storage_roundtrip () =
   Alcotest.(check bool)
     "absent dir loads None" true
     (Storage.load ~dir:(tmp_dir "probcons-replica-empty") = Ok None)
+
+(* ---- the append-only log ------------------------------------------ *)
+
+(* [n] data entries of one term, each with its command bytes. *)
+let wal_snapshot ?(term = 1) ?(from_term = fun _ -> 1) n =
+  {
+    Storage.term;
+    voted_for = Some 0;
+    log =
+      List.init n (fun i ->
+          let index = i + 1 in
+          { Raft_types.term = from_term index; index; command = Raft_types.Data index });
+    payloads =
+      List.init n (fun i -> (i + 1, Printf.sprintf {|{"op":"barrier","n":%d}|} (i + 1)));
+  }
+
+let contains s needle =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length s && (String.sub s i n = needle || at (i + 1)) in
+  at 0
+
+let file_size p = (Unix.stat p).Unix.st_size
+let read_file p = In_channel.with_open_bin p In_channel.input_all
+let write_file p s = Out_channel.with_open_bin p (fun oc -> output_string oc s)
+
+let check_loads what ~dir expected =
+  match Storage.load ~dir with
+  | Ok (Some loaded) -> Alcotest.(check bool) what true (loaded = expected)
+  | Ok None -> Alcotest.fail (what ^ ": no log")
+  | Error e -> Alcotest.fail (what ^ ": " ^ e)
+
+(* Save [n - 1] then [n] entries into [dir]: the file's bytes and the
+   offset where its last record (entry [n]) starts. *)
+let log_with_last_record ~dir n =
+  Storage.save ~dir (wal_snapshot (n - 1));
+  let last_start = file_size (Storage.path ~dir) in
+  Storage.save ~dir (wal_snapshot n);
+  (read_file (Storage.path ~dir), last_start)
+
+(* A crash can tear the last append anywhere: every cut inside the last
+   record, and a corrupted last record, recover exactly the synced
+   prefix — and a booting writer cuts the tail off the file. *)
+let test_wal_torn_tail () =
+  let dir = tmp_dir "probcons-replica-torn" in
+  let p = Storage.path ~dir in
+  let full, last_start = log_with_last_record ~dir 6 in
+  for cut = last_start to String.length full - 1 do
+    write_file p (String.sub full 0 cut);
+    check_loads (Printf.sprintf "cut at byte %d" cut) ~dir (wal_snapshot 5)
+  done;
+  let flipped = Bytes.of_string full in
+  let k = String.length full - 1 in
+  Bytes.set flipped k (Char.chr (Char.code full.[k] lxor 0xff));
+  write_file p (Bytes.to_string flipped);
+  check_loads "CRC-failing last record" ~dir (wal_snapshot 5);
+  write_file p (String.sub full 0 (last_start + 3));
+  match Storage.open_writer ~dir with
+  | Ok (w, Some loaded) ->
+      Storage.close w;
+      Alcotest.(check bool) "writer recovers the prefix" true (loaded = wal_snapshot 5);
+      Alcotest.(check int) "torn tail truncated on disk" last_start (file_size p)
+  | Ok (_, None) -> Alcotest.fail "writer found no log"
+  | Error e -> Alcotest.fail e
+
+(* A flipped byte anywhere before the last record — header, lengths,
+   CRCs, bodies — is damage, never a torn tail to boot past. *)
+let test_wal_corruption () =
+  let dir = tmp_dir "probcons-replica-corrupt" in
+  let p = Storage.path ~dir in
+  let full, last_start = log_with_last_record ~dir 5 in
+  for k = 0 to last_start - 1 do
+    let b = Bytes.of_string full in
+    Bytes.set b k (Char.chr (Char.code full.[k] lxor 0xff));
+    write_file p (Bytes.to_string b);
+    match Storage.load ~dir with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail (Printf.sprintf "flipped byte %d accepted" k)
+  done
+
+(* A log that diverges at index k appends a truncate-from record and the
+   new entries behind the untouched old bytes. *)
+let test_wal_divergence () =
+  let dir = tmp_dir "probcons-replica-diverge" in
+  let p = Storage.path ~dir in
+  Storage.save ~dir (wal_snapshot 10);
+  let before = read_file p in
+  let diverged = wal_snapshot ~term:2 ~from_term:(fun i -> if i < 7 then 1 else 2) 12 in
+  Storage.save ~dir diverged;
+  let after = read_file p in
+  Alcotest.(check bool)
+    "old records untouched (append-only)" true
+    (String.length after > String.length before
+    && String.sub after 0 (String.length before) = before);
+  Alcotest.(check bool)
+    "a truncate-from record for index 7" true
+    (contains after {|{"truncate_from": 7}|});
+  check_loads "reloads as the new log" ~dir diverged;
+  (* The same through a writer: recovery sees the new log. *)
+  match Storage.open_writer ~dir with
+  | Ok (w, Some loaded) ->
+      Storage.close w;
+      Alcotest.(check bool) "writer recovers the new log" true (loaded = diverged)
+  | _ -> Alcotest.fail "writer did not recover the log"
+
+(* Persist cost is O(new entries): one more entry appends about the same
+   bytes at log length 10 and 2000, and no change appends nothing. *)
+let test_wal_append_cost () =
+  let appended n =
+    let dir = tmp_dir (Printf.sprintf "probcons-replica-append-%d" n) in
+    Storage.save ~dir (wal_snapshot n);
+    let s0 = file_size (Storage.path ~dir) in
+    Storage.save ~dir (wal_snapshot (n + 1));
+    let s1 = file_size (Storage.path ~dir) in
+    Storage.save ~dir (wal_snapshot (n + 1));
+    Alcotest.(check int)
+      "an unchanged save writes nothing" s1 (file_size (Storage.path ~dir));
+    s1 - s0
+  in
+  let small = appended 10 and large = appended 2000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "one-entry append: %d B at 10 entries, %d B at 2000" small large)
+    true
+    (small > 0 && large > 0 && large <= 2 * small && small <= 2 * large)
+
+let test_wal_idle_cycle () =
+  let dir = tmp_dir "probcons-replica-idle" in
+  match Storage.open_writer ~dir with
+  | Error e -> Alcotest.fail e
+  | Ok (w, _) ->
+      Fun.protect ~finally:(fun () -> Storage.close w) @@ fun () ->
+      let s = wal_snapshot 3 in
+      let log = Array.of_list s.Storage.log in
+      let cycle () =
+        Storage.persist w ~term:s.Storage.term ~voted_for:s.Storage.voted_for
+          ~last_index:(Array.length log)
+          ~term_at:(fun i -> log.(i - 1).Raft_types.term)
+          ~entry:(fun i -> (log.(i - 1), List.assoc_opt i s.Storage.payloads))
+      in
+      cycle ();
+      let size = file_size (Storage.path ~dir) in
+      cycle ();
+      cycle ();
+      Alcotest.(check int) "idle cycles leave the file alone" size
+        (file_size (Storage.path ~dir));
+      check_loads "state intact" ~dir s
+
+(* Dead bytes (truncated entries, superseded hard states) beyond the live
+   ones trigger a rewrite: the file shrinks and reloads the same state. *)
+let test_wal_compaction () =
+  let dir = tmp_dir "probcons-replica-compact" in
+  let p = Storage.path ~dir in
+  Storage.save ~dir (wal_snapshot 20);
+  let long = file_size p in
+  let short = wal_snapshot ~term:2 ~from_term:(fun i -> if i < 3 then 1 else 2) 3 in
+  Storage.save ~dir short;
+  Alcotest.(check bool) "truncation compacts the file" true (file_size p < long);
+  check_loads "same state after the truncation rewrite" ~dir short;
+  Alcotest.(check bool) "no temporary file left" false (Sys.file_exists (p ^ ".tmp"));
+  (* Term churn alone: superseded hard states eventually outweigh the
+     live state, and the file shrinks without losing the latest. *)
+  let shrank = ref false and prev = ref (file_size p) in
+  for term = 3 to 32 do
+    Storage.save ~dir { short with Storage.term };
+    let size = file_size p in
+    if size < !prev then shrank := true;
+    prev := size
+  done;
+  Alcotest.(check bool) "hard-state churn compacts the file" true !shrank;
+  check_loads "latest hard state survives compaction" ~dir
+    { short with Storage.term = 32 }
+
+(* A version-1 state directory must not boot empty. *)
+let test_wal_refuses_v1 () =
+  let dir = tmp_dir "probcons-replica-v1" in
+  write_file (Filename.concat dir "durable.json")
+    {|{"schema":"probcons-replica-durable/1"}|};
+  let names_file = function Error e -> contains e "durable.json" | Ok _ -> false in
+  Alcotest.(check bool)
+    "load refuses, naming the file" true (names_file (Storage.load ~dir));
+  Alcotest.(check bool)
+    "writer refuses, naming the file" true
+    (names_file (Result.map fst (Storage.open_writer ~dir)));
+  Alcotest.(check bool) "no log created" false (Sys.file_exists (Storage.path ~dir))
 
 let test_wire_replica_kinds () =
   let roundtrip q =
@@ -416,6 +611,54 @@ let test_failover_and_restart () =
         "write a survived the failover" true
         (Obs.Json.member "found" got = Some (Obs.Json.Bool true)))
 
+(* One acknowledged put on a 3-replica cluster with state directories
+   shows up in the persist instruments every replica process exports. *)
+let test_persist_metrics () =
+  let root = tmp_dir "probcons-replica-metrics" in
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was_enabled) @@ fun () ->
+  with_cluster ~state_dir:root ~n:3 (fun ~base ~nodes ->
+      ignore (wait_leader nodes);
+      let counter name =
+        match Obs.Metrics.find (Obs.Metrics.snapshot ()) ~family:"replica" ~name with
+        | Some (Obs.Metrics.Counter n) -> n
+        | _ -> Alcotest.fail ("replica/" ^ name ^ " is not a registered counter")
+      in
+      Alcotest.(check bool)
+        "persist_seconds is a registered histogram" true
+        (match
+           Obs.Metrics.find (Obs.Metrics.snapshot ()) ~family:"replica"
+             ~name:"persist_seconds"
+         with
+        | Some (Obs.Metrics.Histogram _) -> true
+        | _ -> false);
+      let fsyncs = counter "fsyncs" and bytes = counter "persist_bytes" in
+      let multi = multi_of ~base ~n:3 () in
+      Fun.protect ~finally:(fun () -> Client.Multi.close multi) @@ fun () ->
+      ignore
+        (expect_ok "put"
+           (Client.Multi.call multi ~id:1
+              (Wire.Scenario_put { name = "metered"; scenario = scenario_a; nonce = 0 })));
+      Alcotest.(check bool) "fsyncs counted" true (counter "fsyncs" > fsyncs);
+      Alcotest.(check bool) "persist bytes counted" true (counter "persist_bytes" > bytes))
+
+(* Starting and stopping a replica with a state directory must give back
+   every descriptor it opened: its log, sockets and listeners. *)
+let test_restart_fd_leak () =
+  if Sys.file_exists "/proc/self/fd" then (
+    let root = tmp_dir "probcons-replica-fds" in
+    let base = fresh_base () in
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let before = open_fds () in
+    for _ = 1 to 50 do
+      Node.stop (Node.start (cluster_config ~state_dir:root ~base ~n:1 0))
+    done;
+    Alcotest.(check int) "descriptors after 50 restarts" before (open_fds ());
+    Alcotest.(check bool)
+      "the log was written" true
+      (Sys.file_exists (Storage.path ~dir:(Filename.concat root "0"))))
+
 (* Satellite: a seeded chaos plan black-holing every outbound link of
    the leader mid-append must cost leadership, not consistency — a new
    leader emerges, the retried write lands exactly once, and after the
@@ -591,12 +834,21 @@ let suite =
     Alcotest.test_case "transport envelope" `Quick test_transport_envelope;
     Alcotest.test_case "state machine dedup" `Quick test_state_dedup;
     Alcotest.test_case "durable storage round-trip" `Quick test_storage_roundtrip;
+    Alcotest.test_case "log torn at every byte of the last record" `Quick test_wal_torn_tail;
+    Alcotest.test_case "log corrupted before the last record" `Quick test_wal_corruption;
+    Alcotest.test_case "log divergence appends truncate-from" `Quick test_wal_divergence;
+    Alcotest.test_case "log append cost flat in log length" `Quick test_wal_append_cost;
+    Alcotest.test_case "log idle cycle does no I/O" `Quick test_wal_idle_cycle;
+    Alcotest.test_case "log compaction" `Quick test_wal_compaction;
+    Alcotest.test_case "log refuses a version-1 state directory" `Quick test_wal_refuses_v1;
     Alcotest.test_case "wire replica query kinds" `Quick test_wire_replica_kinds;
     Alcotest.test_case "cluster put/get/linearizable" `Slow test_e2e_put_get;
     Alcotest.test_case "single-replica put acknowledged at once" `Slow
       test_single_replica_put;
     Alcotest.test_case "leader failover and crash restart" `Slow
       test_failover_and_restart;
+    Alcotest.test_case "persist instruments count a put" `Slow test_persist_metrics;
+    Alcotest.test_case "no descriptor leak across restarts" `Slow test_restart_fd_leak;
     Alcotest.test_case "chaos blackhole costs leadership not consistency" `Slow
       test_chaos_blackhole_leader;
     Alcotest.test_case "multi-endpoint mixed wire renegotiation" `Slow

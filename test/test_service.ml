@@ -747,6 +747,18 @@ let test_loadgen_large_pool () =
       | Error msg -> Alcotest.fail msg
   done
 
+(* A loopback connect whose ephemeral source port equals the target
+   port connects to itself and would squat on the port its server is
+   about to bind; binding the socket to the target port first forces
+   that case deterministically. *)
+let test_client_refuses_self_connect () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Service.Client.connect_socket fd (Unix.getsockname fd) with
+  | () -> Alcotest.fail "a self-connected socket was accepted"
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -777,4 +789,6 @@ let suite =
     Alcotest.test_case "e2e deadline" `Quick test_e2e_deadline;
     Alcotest.test_case "loadgen pool past 990 slots" `Quick
       test_loadgen_large_pool;
+    Alcotest.test_case "client refuses a self-connect" `Quick
+      test_client_refuses_self_connect;
   ]
