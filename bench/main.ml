@@ -1093,7 +1093,23 @@ let p4_fleet_engine ~quick =
         ~domains:1 ~ns_per_run:inc_ns ();
       record_row ~kernel:"fleet/full-recompute" ~n ~engine:"poisson-binomial-dp"
         ~domains:1 ~ns_per_run:full_ns ())
-    (if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ])
+    (if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ]);
+  (* The per-report refit the controller runs before each update: one
+     seeded 256-device, one-year telemetry report at 7.5% AFR, as the
+     fleet stream produces, fitted by [Telemetry.fit_auto]. *)
+  let devices = 256 in
+  let report =
+    Faultmodel.Telemetry.observe (Prob.Rng.create 42)
+      (Faultmodel.Fault_curve.of_afr 0.075) ~devices ~window:8766.
+  in
+  let refit_ns =
+    time_ns (if quick then 200 else 2_000) (fun () ->
+        ignore (Sys.opaque_identity (Faultmodel.Telemetry.fit_auto report)))
+  in
+  Printf.printf "  refit %d devices (%d failed) %12.0f ns/report\n" devices
+    report.Faultmodel.Telemetry.failures refit_ns;
+  record_row ~kernel:"fleet/refit" ~n:devices ~engine:"censored-weibull-mle"
+    ~domains:1 ~ns_per_run:refit_ns ()
 
 (* ---------------------------------------------------------------- P5 *)
 

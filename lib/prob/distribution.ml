@@ -74,7 +74,15 @@ let exponential_fit samples =
      g(k) = d/k + sum_{failures} ln t_i - d * sum(s^k ln s) / sum(s^k)
    with root found by bisection (g decreases in k), after which
      scale^k = sum(s^k) / d.
-   The uncensored case reduces to the textbook equation. *)
+   The uncensored case reduces to the textbook equation.
+
+   Telemetry censors every survivor at the same window, so the kernel
+   collapses consecutive equal censor times into runs and computes one
+   [c ** k] per run per step. It still adds that term once per unit, in
+   array order: a multiply by the run length would round differently.
+   Logs are hoisted out of the bisection and the sums live in
+   loop-local refs (unboxed), so each step allocates nothing per
+   sample. The result is bit-identical to summing sample by sample. *)
 let weibull_fit_censored ~failures ~censored =
   let d = Array.length failures in
   if d < 2 then invalid_arg "Distribution.weibull_fit: need >= 2 samples";
@@ -86,16 +94,41 @@ let weibull_fit_censored ~failures ~censored =
       if x <= 0. then invalid_arg "Distribution.weibull_fit: nonpositive censor time")
     censored;
   let df = float_of_int d in
-  let sum_log_failures = Math_utils.kahan_sum (Array.map log failures) in
+  let log_failures = Array.map log failures in
+  let sum_log_failures = Math_utils.kahan_sum log_failures in
+  (* Runs of equal censor times; [=] is bit equality on positive
+     floats, and a NaN (never equal) stays a run of its own. *)
+  let nc = Array.length censored in
+  let runs = ref (min nc 1) in
+  for i = 1 to nc - 1 do
+    if censored.(i) <> censored.(i - 1) then incr runs
+  done;
+  let runs = !runs in
+  let run_value = Array.make runs 0. and run_count = Array.make runs 0 in
+  let r = ref (-1) in
+  for i = 0 to nc - 1 do
+    if i = 0 || censored.(i) <> censored.(i - 1) then begin
+      incr r;
+      run_value.(!r) <- censored.(i)
+    end;
+    run_count.(!r) <- run_count.(!r) + 1
+  done;
+  let run_log = Array.map log run_value in
   let g k =
     let sxk = ref 0. and sxkl = ref 0. in
-    let add x =
-      let xk = x ** k in
+    for i = 0 to d - 1 do
+      let xk = failures.(i) ** k in
       sxk := !sxk +. xk;
-      sxkl := !sxkl +. (xk *. log x)
-    in
-    Array.iter add failures;
-    Array.iter add censored;
+      sxkl := !sxkl +. (xk *. log_failures.(i))
+    done;
+    for j = 0 to runs - 1 do
+      let xk = run_value.(j) ** k in
+      let xkl = xk *. run_log.(j) in
+      for _ = 1 to run_count.(j) do
+        sxk := !sxk +. xk;
+        sxkl := !sxkl +. xkl
+      done
+    done;
     (df /. k) +. sum_log_failures -. (df *. !sxkl /. !sxk)
   in
   (* g is decreasing in k, positive for k -> 0+. *)
@@ -103,17 +136,31 @@ let weibull_fit_censored ~failures ~censored =
   while g !hi > 0. && !hi < 1e4 do
     hi := !hi *. 2.
   done;
+  (* Up to 80 halvings; a step that leaves (lo, hi, k) unchanged is a
+     fixed point (g is re-evaluated at the same k), so stop there. *)
   let k = ref ((!lo +. !hi) /. 2.) in
-  for _ = 1 to 80 do
+  let step = ref 0 and settled = ref false in
+  while !step < 80 && not !settled do
+    let lo0 = !lo and hi0 = !hi and k0 = !k in
     if g !k > 0. then lo := !k else hi := !k;
-    k := (!lo +. !hi) /. 2.
+    k := (!lo +. !hi) /. 2.;
+    settled := !lo = lo0 && !hi = hi0 && !k = k0;
+    incr step
   done;
   let shape = !k in
-  let sxk =
-    Array.fold_left (fun acc x -> acc +. (x ** shape)) 0. failures
-    +. Array.fold_left (fun acc x -> acc +. (x ** shape)) 0. censored
-  in
-  let scale = (sxk /. df) ** (1. /. shape) in
+  (* Failures and censored summed separately from 0, then added: the
+     order the result's bits depend on. *)
+  let sf = ref 0. and sc = ref 0. in
+  for i = 0 to d - 1 do
+    sf := !sf +. (failures.(i) ** shape)
+  done;
+  for j = 0 to runs - 1 do
+    let xk = run_value.(j) ** shape in
+    for _ = 1 to run_count.(j) do
+      sc := !sc +. xk
+    done
+  done;
+  let scale = ((!sf +. !sc) /. df) ** (1. /. shape) in
   (shape, scale)
 
 let weibull_fit samples = weibull_fit_censored ~failures:samples ~censored:[||]

@@ -33,8 +33,8 @@ val exponential_fit : float array -> float
     Raises [Invalid_argument] on an empty array. *)
 
 val weibull_fit : float array -> float * float
-(** [(shape, scale)] fitted by MLE (Newton iterations on the profile
-    likelihood). Requires at least two distinct positive samples. *)
+(** [(shape, scale)] fitted by MLE (bisection on the profile
+    likelihood score). Requires at least two positive samples. *)
 
 val weibull_fit_censored :
   failures:float array -> censored:float array -> float * float
@@ -43,4 +43,10 @@ val weibull_fit_censored :
     observation stopped. Essential for telemetry windows shorter than
     typical lifetimes, where the uncensored fit is badly biased toward
     short lives. With no censored units this coincides with
-    {!weibull_fit}. Requires at least two failures. *)
+    {!weibull_fit}. Requires at least two failures.
+
+    Cost: O(steps x (failures + distinct censor runs)) [pow]s, with
+    steps <= 80 (~54 typical) and a run being consecutive equal censor
+    times — one run when every survivor is censored at the same window.
+    The result is bit-identical for any run layout to summing sample by
+    sample in array order. *)

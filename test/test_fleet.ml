@@ -136,6 +136,47 @@ let test_controller_deterministic () =
   and b = payload_bytes (Controller.run cfg) in
   Alcotest.(check string) "payloads byte-identical" a b
 
+(* Exact payload and ingest bytes of six runs, keyed by (seed, ticks,
+   dynamic, nodes, quorum, target nines): a refit that moves one bit of
+   any estimate shows here. Covers static and dynamic streams, 5 to 64
+   nodes, 8 and 26 ticks, and both recommendation kinds (the first case
+   resizes and swaps, the second only swaps). *)
+let golden_payloads =
+  [
+    ( (42, 8, false, 9, 7, 5.),
+      {|{"subsystem": "fleet", "nodes": 9, "seed": 42, "ticks": 8, "observations": 16, "failures_seen": 224, "device_hours": 34916468.322597407, "engine_updates": 18, "engine_refreshes": 0, "max_divergence": 1.1102230246251565e-16, "quorum": 5, "target_live": 0.99999000000000005, "p_live": 0.99999402872037668, "nines": 5.2239325911828818, "expected_failures": 0.34076581394846844, "recommendations": [{"tick": 1, "p_live": 0.99854770050061714, "action": "resize", "q_per": 5, "q_vc": 5, "predicted_live": 0.99999871565776133}, {"tick": 4, "p_live": 0.99998452491395884, "action": "swap", "node": 1, "estimate": 0.098107586913298087, "predicted_live": 0.99999393564663386}, {"tick": 8, "p_live": 0.99997096339731417, "action": "swap", "node": 5, "estimate": 0.2071210725930685, "predicted_live": 0.99999402872037668}]}|},
+      {|{"subsystem": "fleet_ingest", "nodes": 9, "seed": 42, "ticks": 8, "observations": 16, "failures_seen": 224, "device_hours": 34916468.322597407, "engine_updates": 18, "engine_refreshes": 0, "max_divergence": 1.1102230246251565e-16, "p_live": 0.99999402872037668, "expected_failures": 0.34076581394846844}|} );
+    ( (7, 26, false, 5, 3, 3.),
+      {|{"subsystem": "fleet", "nodes": 5, "seed": 7, "ticks": 26, "observations": 26, "failures_seen": 426, "device_hours": 56489021.083108865, "engine_updates": 31, "engine_refreshes": 0, "max_divergence": 2.2204460492503131e-16, "quorum": 3, "target_live": 0.999, "p_live": 0.99977126460163601, "nines": 3.640666620157027, "expected_failures": 0.15668934689510047, "recommendations": [{"tick": 5, "p_live": 0.99811840096977633, "action": "swap", "node": 4, "estimate": 0.074687842877744395, "predicted_live": 0.99902090544865685}, {"tick": 14, "p_live": 0.9981672235226241, "action": "swap", "node": 3, "estimate": 0.13359083992616663, "predicted_live": 0.9994738479548545}, {"tick": 19, "p_live": 0.99837359441192375, "action": "swap", "node": 3, "estimate": 0.093826020040048447, "predicted_live": 0.99931721636485427}, {"tick": 22, "p_live": 0.99883765132511482, "action": "swap", "node": 1, "estimate": 0.18578143625212323, "predicted_live": 0.99978274656941801}, {"tick": 26, "p_live": 0.99850466250212455, "action": "swap", "node": 0, "estimate": 0.23782082746238223, "predicted_live": 0.99977126460163601}]}|},
+      {|{"subsystem": "fleet_ingest", "nodes": 5, "seed": 7, "ticks": 26, "observations": 26, "failures_seen": 426, "device_hours": 56489021.083108865, "engine_updates": 31, "engine_refreshes": 0, "max_divergence": 2.2204460492503131e-16, "p_live": 0.99977126460163601, "expected_failures": 0.15668934689510047}|} );
+    ( (3, 8, true, 9, 7, 5.),
+      {|{"subsystem": "fleet", "dynamic": true, "nodes": 9, "seed": 3, "ticks": 8, "observations": 16, "failures_seen": 125, "device_hours": 35372319.133944117, "engine_updates": 16, "engine_refreshes": 0, "max_divergence": 2.2204460492503131e-16, "quorum": 5, "target_live": 0.99999000000000005, "p_live": 0.99999852081662566, "nines": 5.8299779831847633, "expected_failures": 0.26139235500959462, "recommendations": [{"tick": 1, "p_live": 0.99947263993075075, "action": "resize", "q_per": 5, "q_vc": 5, "predicted_live": 0.99999971261720388}]}|},
+      {|{"subsystem": "fleet_ingest", "dynamic": true, "nodes": 9, "seed": 3, "ticks": 8, "observations": 16, "failures_seen": 125, "device_hours": 35372319.133944117, "engine_updates": 16, "engine_refreshes": 0, "max_divergence": 2.2204460492503131e-16, "p_live": 0.99999852081662566, "expected_failures": 0.26139235500959462}|} );
+    ( (11, 26, true, 32, 17, 3.),
+      {|{"subsystem": "fleet", "dynamic": true, "nodes": 32, "seed": 11, "ticks": 26, "observations": 208, "failures_seen": 1939, "device_hours": 458072833.60094523, "engine_updates": 208, "engine_refreshes": 1, "max_divergence": 7.2164496600635175e-16, "quorum": 17, "target_live": 0.999, "p_live": 1, "nines": null, "expected_failures": 1.1793732973587205, "recommendations": []}|},
+      {|{"subsystem": "fleet_ingest", "dynamic": true, "nodes": 32, "seed": 11, "ticks": 26, "observations": 208, "failures_seen": 1939, "device_hours": 458072833.60094523, "engine_updates": 208, "engine_refreshes": 1, "max_divergence": 7.2164496600635175e-16, "p_live": 1, "expected_failures": 1.1793732973587205}|} );
+    ( (5, 8, false, 64, 33, 3.),
+      {|{"subsystem": "fleet", "nodes": 64, "seed": 5, "ticks": 8, "observations": 128, "failures_seen": 1305, "device_hours": 281661000.22111595, "engine_updates": 128, "engine_refreshes": 0, "max_divergence": 4.163336342344337e-16, "quorum": 33, "target_live": 0.999, "p_live": 0.99999999999999944, "nines": 15.255619765854984, "expected_failures": 2.5134119763600427, "recommendations": []}|},
+      {|{"subsystem": "fleet_ingest", "nodes": 64, "seed": 5, "ticks": 8, "observations": 128, "failures_seen": 1305, "device_hours": 281661000.22111595, "engine_updates": 128, "engine_refreshes": 0, "max_divergence": 4.163336342344337e-16, "p_live": 0.99999999999999944, "expected_failures": 2.5134119763600427}|} );
+    ( (9, 8, true, 64, 40, 4.),
+      {|{"subsystem": "fleet", "dynamic": true, "nodes": 64, "seed": 9, "ticks": 8, "observations": 128, "failures_seen": 1055, "device_hours": 282634993.8123582, "engine_updates": 128, "engine_refreshes": 0, "max_divergence": 6.6613381477509392e-16, "quorum": 40, "target_live": 0.99990000000000001, "p_live": 0.999999999999999, "nines": 15.000347260751678, "expected_failures": 1.9097292688257412, "recommendations": []}|},
+      {|{"subsystem": "fleet_ingest", "dynamic": true, "nodes": 64, "seed": 9, "ticks": 8, "observations": 128, "failures_seen": 1055, "device_hours": 282634993.8123582, "engine_updates": 128, "engine_refreshes": 0, "max_divergence": 6.6613381477509392e-16, "p_live": 0.999999999999999, "expected_failures": 1.9097292688257412}|} );
+  ]
+
+let test_controller_golden_payloads () =
+  List.iter
+    (fun ((seed, ticks, dynamic, nodes, quorum, nines), payload, ingest) ->
+      let cfg = Controller.default_config ~seed ~ticks ~dynamic ~nodes () in
+      let o =
+        Controller.run
+          { cfg with Controller.quorum; target_live = Prob.Nines.to_prob nines }
+      in
+      let name = Printf.sprintf "seed %d, %d nodes, %d ticks" seed nodes ticks in
+      Alcotest.(check string) (name ^ " payload") payload (payload_bytes o);
+      Alcotest.(check string) (name ^ " ingest") ingest
+        (Obs.Json.to_string (Controller.ingest_payload o)))
+    golden_payloads
+
 let test_controller_recommends () =
   let o = Controller.run (tight_case ()) in
   let resizes, swaps =
@@ -483,4 +524,6 @@ let suite =
     Alcotest.test_case "dst fleet soak" `Quick test_dst_fleet_soak;
     Alcotest.test_case "dst fleet codec" `Quick test_dst_fleet_codec;
     Alcotest.test_case "dst fleet registered" `Quick test_dst_fleet_registered;
+    Alcotest.test_case "controller golden payloads" `Quick
+      test_controller_golden_payloads;
   ]

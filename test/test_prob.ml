@@ -312,6 +312,116 @@ let test_fit_input_validation () =
     (Invalid_argument "Distribution.weibull_fit: need >= 2 samples") (fun () ->
       ignore (Distribution.weibull_fit [| 1. |]))
 
+(* The censored Weibull fit summed sample by sample: one [x ** k] and
+   one [log x] per sample per bisection step, all 80 steps. The
+   run-collapsing kernel must match it bit for bit. Also returns whether the bracket stopped at its
+   1e4 cap, and [moving], the number of steps that changed (lo, hi, k):
+   fewer than 80 means the rest were fixed-point no-ops. *)
+let reference_weibull_fit ~failures ~censored =
+  let d = Array.length failures in
+  let df = float_of_int d in
+  let sum_log_failures = Math_utils.kahan_sum (Array.map log failures) in
+  let g k =
+    let sxk = ref 0. and sxkl = ref 0. in
+    let add x =
+      let xk = x ** k in
+      sxk := !sxk +. xk;
+      sxkl := !sxkl +. (xk *. log x)
+    in
+    Array.iter add failures;
+    Array.iter add censored;
+    (df /. k) +. sum_log_failures -. (df *. !sxkl /. !sxk)
+  in
+  let lo = ref 1e-3 and hi = ref 1. in
+  while g !hi > 0. && !hi < 1e4 do
+    hi := !hi *. 2.
+  done;
+  let capped = !hi >= 1e4 in
+  let k = ref ((!lo +. !hi) /. 2.) and moving = ref 0 in
+  for _ = 1 to 80 do
+    let before = (!lo, !hi, !k) in
+    if g !k > 0. then lo := !k else hi := !k;
+    k := (!lo +. !hi) /. 2.;
+    if (!lo, !hi, !k) <> before then incr moving
+  done;
+  let shape = !k in
+  let sxk =
+    Array.fold_left (fun acc x -> acc +. (x ** shape)) 0. failures
+    +. Array.fold_left (fun acc x -> acc +. (x ** shape)) 0. censored
+  in
+  (shape, (sxk /. df) ** (1. /. shape), capped, !moving)
+
+(* Failure layouts: 0 spread lifetimes, 1 near-identical lifetimes
+   (a very large shape) and 2 all-equal lifetimes just above 1 (the
+   score stays positive, so the bracket stops at its 1e4 cap).
+   Censor layouts: 0 empty, 1 one window (the telemetry shape), 2
+   sorted runs, 3 unsorted with repeats, 4 drawn from the failure
+   times themselves. *)
+let weibull_case ~failure_layout ~censor_layout seed =
+  let rng = Rng.create seed in
+  let d = 2 + Rng.int rng 63 in
+  let base = 1. +. (Rng.float rng *. 5000.) in
+  let failures =
+    Array.init d (fun _ ->
+        match failure_layout with
+        | 0 -> 0.01 +. (Rng.float rng *. 2. *. base)
+        | 1 -> base *. (1. +. (Rng.float rng *. 1e-12))
+        | _ -> 1. +. (base *. 2e-6))
+  in
+  let nc = Rng.int rng 300 in
+  let pool = Array.init (1 + Rng.int rng 6) (fun _ -> 0.5 +. (Rng.float rng *. 3. *. base)) in
+  let censored =
+    match censor_layout with
+    | 0 -> [||]
+    | 1 -> Array.make nc pool.(0)
+    | 2 ->
+        let c = Array.init nc (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+        Array.sort compare c;
+        c
+    | 3 -> Array.init nc (fun _ -> pool.(Rng.int rng (Array.length pool)))
+    | _ -> Array.init nc (fun _ -> failures.(Rng.int rng d))
+  in
+  (failures, censored)
+
+let prop_weibull_fit_matches_reference =
+  QCheck.Test.make ~count:400
+    ~name:"censored weibull fit = per-sample reference, bit-identical"
+    QCheck.(triple (int_range 0 2) (int_range 0 4) (int_range 0 1_000_000))
+    (fun (failure_layout, censor_layout, seed) ->
+      let failures, censored = weibull_case ~failure_layout ~censor_layout seed in
+      let k, s = Distribution.weibull_fit_censored ~failures ~censored in
+      let rk, rs, _, _ = reference_weibull_fit ~failures ~censored in
+      Int64.equal (Int64.bits_of_float k) (Int64.bits_of_float rk)
+      && Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float rs))
+
+(* The property's input layouts reach both early exits the kernel has:
+   the 1e4 bracket cap and a bisection that settles before step 80. *)
+let test_weibull_fit_reference_coverage () =
+  let capped = ref 0 and settled = ref 0 in
+  for seed = 1 to 60 do
+    let failures, censored =
+      weibull_case ~failure_layout:(seed mod 3) ~censor_layout:(seed mod 5) seed
+    in
+    let _, _, cap, moving = reference_weibull_fit ~failures ~censored in
+    if cap then incr capped;
+    if moving < 80 then incr settled
+  done;
+  Alcotest.(check bool) "some fits hit the bracket cap" true (!capped > 0);
+  Alcotest.(check int) "every fit settles before step 80" 60 !settled
+
+(* A telemetry report of 256 devices, 19 failed: the fit allocates a
+   few words per failure and per bisection step, none per sample. *)
+let test_weibull_fit_allocation_guard () =
+  let rng = Rng.create 7 in
+  let failures = Array.init 19 (fun _ -> 1. +. (Rng.float rng *. 4000.)) in
+  let censored = Array.make 237 4380. in
+  let fit () = ignore (Distribution.weibull_fit_censored ~failures ~censored) in
+  fit ();
+  let before = Gc.minor_words () in
+  fit ();
+  let words = Gc.minor_words () -. before in
+  if words >= 4000. then Alcotest.failf "%.0f minor words for one fit" words
+
 let prop_binomial_sample_within_range =
   QCheck.Test.make ~count:100 ~name:"binomial sample in [0,n]"
     QCheck.(pair (int_range 1 30) (float_bound_inclusive 1.))
@@ -637,4 +747,9 @@ let suite =
     Alcotest.test_case "incremental forced refresh" `Quick test_incremental_forced_refresh;
     Alcotest.test_case "incremental drift accounting" `Quick test_incremental_drift_accounting;
     Alcotest.test_case "incremental queries" `Quick test_incremental_queries_match_reference;
+    QCheck_alcotest.to_alcotest prop_weibull_fit_matches_reference;
+    Alcotest.test_case "weibull fit reference coverage" `Quick
+      test_weibull_fit_reference_coverage;
+    Alcotest.test_case "weibull fit allocation guard" `Quick
+      test_weibull_fit_allocation_guard;
   ]
